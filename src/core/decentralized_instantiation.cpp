@@ -1,5 +1,6 @@
 #include "core/decentralized_instantiation.h"
 
+#include <memory>
 #include <numeric>
 
 #include "desi/xadl.h"
@@ -386,8 +387,9 @@ std::size_t DecentralizedInstantiation::auction_sweep(std::uint64_t seed) {
       locations.str(m.component(component).name);
       locations.u32(auctioneer);
       new_config.set("locations", locations.take());
-      substrate_->architecture(winner).post_to(prism::admin_name(winner),
-                                               new_config);
+      substrate_->architecture(winner).post_to(
+          prism::admin_name(winner),
+          std::make_shared<const prism::Event>(std::move(new_config)));
       ++stats_.messages;
       ++migrations;
     }

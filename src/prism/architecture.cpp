@@ -104,12 +104,13 @@ double Architecture::total_memory_kb() const {
   return total;
 }
 
-void Architecture::post_to(const std::string& component, const Event& event) {
-  scaffold_.dispatch([this, component, event] {
+void Architecture::post_to(const std::string& component,
+                           std::shared_ptr<const Event> event) {
+  scaffold_.dispatch([this, component, event = std::move(event)] {
     if (Component* target = find_component(component)) {
-      target->deliver(event);
+      target->deliver(*event);
     } else if (undeliverable_) {
-      undeliverable_(event);
+      undeliverable_(*event);
     }
   });
 }

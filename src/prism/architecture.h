@@ -62,7 +62,10 @@ class Architecture final : public Brick {
   /// component is re-resolved at dispatch time: if it has been detached in
   /// the meantime, the undeliverable handler (if any) gets the event — this
   /// is the hook AdminComponent uses to buffer events during migration.
-  void post_to(const std::string& component, const Event& event);
+  /// The event is shared and immutable, so a broadcast posts one copy to
+  /// all of its recipients.
+  void post_to(const std::string& component,
+               std::shared_ptr<const Event> event);
 
   /// Handler for events whose destination vanished (migration buffering).
   using UndeliverableHandler = std::function<void(const Event&)>;

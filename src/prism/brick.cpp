@@ -48,15 +48,18 @@ void Connector::deliver_locally(const Event& event, Component* sender) {
   if (!event.to().empty()) {
     for (Component* component : components_) {
       if (component != sender && component->name() == event.to()) {
-        arch_->post_to(component->name(), event);
+        arch_->post_to(component->name(), std::make_shared<const Event>(event));
         return;
       }
     }
     return;  // destination not welded to this connector
   }
+  // A broadcast shares one immutable copy among all of its recipients.
+  std::shared_ptr<const Event> shared;
   for (Component* component : components_) {
     if (component == sender) continue;
-    arch_->post_to(component->name(), event);
+    if (!shared) shared = std::make_shared<const Event>(event);
+    arch_->post_to(component->name(), shared);
   }
 }
 

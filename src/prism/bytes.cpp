@@ -2,13 +2,20 @@
 
 namespace dif::prism {
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
+namespace {
+/// Little-endian image of `v`, appended in one insert (one growth at most).
+template <typename T>
+void put_le(std::vector<std::uint8_t>& buf, T v) {
+  std::uint8_t le[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    le[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
+  buf.insert(buf.end(), le, le + sizeof(T));
 }
+}  // namespace
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
+void ByteWriter::u32(std::uint32_t v) { put_le(buf_, v); }
+
+void ByteWriter::u64(std::uint64_t v) { put_le(buf_, v); }
 
 void ByteWriter::f64(double v) {
   std::uint64_t bits;

@@ -29,6 +29,8 @@ class ByteWriter {
   void bytes(std::span<const std::uint8_t> v);
   /// Appends raw bytes with no length prefix (concatenating sub-writers).
   void raw(std::span<const std::uint8_t> v);
+  /// Reserves room for `total` bytes (callers that know the final size).
+  void reserve(std::size_t total) { buf_.reserve(total); }
 
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept {

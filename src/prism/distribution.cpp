@@ -1,6 +1,7 @@
 #include "prism/distribution.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "prism/architecture.h"
 #include "util/logging.h"
@@ -18,8 +19,8 @@ DistributionConnector::DistributionConnector(std::string name,
                                              sim::SimNetwork& network,
                                              model::HostId host)
     : Connector(std::move(name)), network_(network), host_(host) {
-  network_.set_receiver(
-      host_, [this](const sim::NetMessage& m) { on_net_message(m); });
+  network_.set_receiver(host_,
+                        [this](sim::NetMessage& m) { on_net_message(m); });
 }
 
 DistributionConnector::~DistributionConnector() {
@@ -52,31 +53,37 @@ std::optional<model::HostId> DistributionConnector::location(
   return it->second;
 }
 
-void DistributionConnector::forward_remote(const Event& event,
-                                           model::HostId destination) {
-  Event remote = event;
-  remote.set(kRemoteMark, true);
+sim::NetMessage DistributionConnector::remote_message(
+    const Event& event) const {
   sim::NetMessage message;
   message.from = host_;
-  message.to = destination;
   message.channel = kEventChannel;
-  message.payload = remote.serialize();
+  message.payload = event.serialize_flagged(kRemoteMark);
   // Bandwidth accounting: events that carry a whole component are charged
   // the component's memory footprint, not just the serialized control
   // state (the real Prism-MW ships code + heap image; our simulated
   // components only materialize a token state blob).
-  message.size_kb = std::max(remote.size_kb(),
-                             remote.get_double("memory_kb").value_or(0.0));
-  if (network_.send(message)) return;
-  if (store_and_forward_) {
-    // Queue for the disconnected peer; retried until the link returns.
+  message.size_kb = std::max(event.size_kb_flagged(kRemoteMark),
+                             event.get_double("memory_kb").value_or(0.0));
+  return message;
+}
+
+void DistributionConnector::forward_remote(sim::NetMessage message,
+                                           model::HostId destination) {
+  message.to = destination;
+  // reachable() is exactly send()'s routability verdict. Only a message
+  // about to be refused needs a copy: the send still happens (and counts
+  // as unroutable) while the copy waits in the disconnected peer's queue,
+  // retried until the link returns.
+  if (store_and_forward_ && !network_.reachable(host_, destination)) {
     std::deque<sim::NetMessage>& queue = queues_[destination];
     if (queue.size() >= max_queued_) queue.pop_front();
-    queue.push_back(std::move(message));
+    queue.push_back(message);
+    network_.send(std::move(message));
     schedule_flush();
-  } else {
-    ++undeliverable_remote_;
+    return;
   }
+  if (!network_.send(std::move(message))) ++undeliverable_remote_;
 }
 
 void DistributionConnector::enable_store_and_forward(double retry_interval_ms,
@@ -142,27 +149,32 @@ void DistributionConnector::route(const Event& event, Component* sender) {
     // model says the interaction never crosses.
     const bool meta = event.to().rfind("__", 0) == 0;
     if (is_peer(*destination)) {
-      forward_remote(event, *destination);
+      forward_remote(remote_message(event), *destination);
     } else if (mediator_ && *mediator_ != host_ && is_peer(*mediator_)) {
       // Not directly connected: the Deployer's host mediates (paper §4.3).
-      forward_remote(event, *mediator_);
+      forward_remote(remote_message(event), *mediator_);
     } else if (const auto hop = meta ? next_hops_.find(*destination)
                                      : next_hops_.end();
                hop != next_hops_.end()) {
       // No usable mediator (we *are* the mediator host, or it is not
       // adjacent either): forward along the static next-hop route. The
       // receiving host's admin re-routes the event onward.
-      forward_remote(event, hop->second);
+      forward_remote(remote_message(event), hop->second);
     } else if (mediator_ && *mediator_ != host_) {
-      forward_remote(event, *mediator_);
+      forward_remote(remote_message(event), *mediator_);
     } else {
       ++undeliverable_remote_;
     }
     return;
   }
 
-  // Broadcast: flood to every peer.
-  for (const model::HostId peer : peers_) forward_remote(event, peer);
+  // Broadcast: flood to every peer, serialized once (each message owns its
+  // payload, so every peer but the last gets a copy).
+  if (peers_.empty()) return;
+  sim::NetMessage message = remote_message(event);
+  for (std::size_t i = 0; i + 1 < peers_.size(); ++i)
+    forward_remote(message, peers_[i]);
+  forward_remote(std::move(message), peers_.back());
 }
 
 void DistributionConnector::resend(Event event) {
@@ -183,16 +195,15 @@ void DistributionConnector::send_ping(model::HostId peer,
   network_.send(std::move(message));
 }
 
-void DistributionConnector::on_net_message(const sim::NetMessage& message) {
+void DistributionConnector::on_net_message(sim::NetMessage& message) {
   if (message.channel == kPingChannel) {
-    // Reflect the probe back to the sender.
-    sim::NetMessage pong;
-    pong.from = host_;
-    pong.to = message.from;
-    pong.channel = kPongChannel;
-    pong.payload = message.payload;
-    pong.size_kb = 0.05;
-    network_.send(std::move(pong));
+    // Reflect the probe back to the sender: the ping becomes the pong,
+    // payload (the ping id) and all.
+    message.to = message.from;
+    message.from = host_;
+    message.channel = kPongChannel;
+    message.size_kb = 0.05;
+    network_.send(std::move(message));
     return;
   }
   if (message.channel == kPongChannel) {
@@ -209,7 +220,8 @@ void DistributionConnector::on_net_message(const sim::NetMessage& message) {
   if (!event.to().empty()) {
     // post_to re-resolves at dispatch; a missing destination lands in the
     // architecture's undeliverable handler (admin buffering / re-routing).
-    architecture()->post_to(event.to(), event);
+    const auto shared = std::make_shared<const Event>(std::move(event));
+    architecture()->post_to(shared->to(), shared);
   } else {
     deliver_locally(event, nullptr);
   }

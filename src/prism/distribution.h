@@ -109,8 +109,13 @@ class DistributionConnector final : public Connector {
   }
 
  private:
-  void on_net_message(const sim::NetMessage& message);
-  void forward_remote(const Event& event, model::HostId destination);
+  void on_net_message(sim::NetMessage& message);
+  /// `event` on the wire, stamped with the remote mark (no copy of the
+  /// event); the destination is filled in by forward_remote.
+  [[nodiscard]] sim::NetMessage remote_message(const Event& event) const;
+  /// Sends `message` to `destination`, or queues it (store-and-forward)
+  /// when the link is down.
+  void forward_remote(sim::NetMessage message, model::HostId destination);
   void schedule_flush();
   void flush_queues();
 

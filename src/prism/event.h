@@ -65,7 +65,22 @@ class Event {
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   [[nodiscard]] static Event deserialize(std::span<const std::uint8_t> data);
 
+  /// serialize() / size_kb() of this event as if set(flag, true) had been
+  /// called first, without copying the event (how DistributionConnector
+  /// stamps its remote mark on outbound events).
+  [[nodiscard]] std::vector<std::uint8_t> serialize_flagged(
+      std::string_view flag) const;
+  [[nodiscard]] double size_kb_flagged(std::string_view flag) const;
+
  private:
+  /// Shared by the plain and flagged forms; `flag` may be null. Position
+  /// of the parameter a flag overrides: params_.size() when it would be
+  /// appended, past the end when there is no flag.
+  [[nodiscard]] std::size_t flag_index(const std::string_view* flag) const;
+  [[nodiscard]] std::size_t accounted_bytes(const std::string_view* flag) const;
+  [[nodiscard]] std::vector<std::uint8_t> encode(
+      const std::string_view* flag) const;
+
   std::string name_;
   std::string to_;
   std::string from_;

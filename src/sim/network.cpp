@@ -145,6 +145,31 @@ obs::Histogram* SimNetwork::link_queue_histogram(std::size_t li,
   return link_queue_ms_[li];
 }
 
+void SimNetwork::deliver_after(double delay_ms, NetMessage msg) {
+  sim_.schedule_after(delay_ms, [this, slot = in_flight_.park(std::move(msg))] {
+    deliver(slot);
+  });
+}
+
+void SimNetwork::deliver(SlotPool<NetMessage>::Slot slot) {
+  // Taken out before the receiver runs: sends it makes may reuse the slot.
+  NetMessage m = in_flight_.take(slot);
+  // A host that crashed while the message was in flight receives nothing.
+  if (!host_up_[m.to]) {
+    ++stats_.dropped;
+    if (m.from != m.to) ++link_dropped_[index(m.from, m.to)];
+    if (metric_.dropped) metric_.dropped->add(1);
+    return;
+  }
+  ++stats_.delivered;
+  stats_.kb_delivered += m.size_kb;
+  if (metric_.delivered) {
+    metric_.delivered->add(1);
+    metric_.kb_delivered->add(m.size_kb);
+  }
+  if (receivers_[m.to]) receivers_[m.to](m);
+}
+
 bool SimNetwork::send(NetMessage msg) {
   ++stats_.sent;
   stats_.kb_sent += msg.size_kb;
@@ -152,26 +177,6 @@ bool SimNetwork::send(NetMessage msg) {
     metric_.sent->add(1);
     metric_.kb_sent->add(msg.size_kb);
   }
-
-  const auto deliver = [this](NetMessage m, double delay_ms) {
-    sim_.schedule_after(delay_ms, [this, m = std::move(m)]() {
-      // A host that crashed while the message was in flight receives
-      // nothing.
-      if (!host_up_[m.to]) {
-        ++stats_.dropped;
-        if (m.from != m.to) ++link_dropped_[index(m.from, m.to)];
-        if (metric_.dropped) metric_.dropped->add(1);
-        return;
-      }
-      ++stats_.delivered;
-      stats_.kb_delivered += m.size_kb;
-      if (metric_.delivered) {
-        metric_.delivered->add(1);
-        metric_.kb_delivered->add(m.size_kb);
-      }
-      if (receivers_[m.to]) receivers_[m.to](m);
-    });
-  };
 
   if (msg.from >= k_ || msg.to >= k_)
     throw std::out_of_range("SimNetwork: bad host id");
@@ -181,7 +186,7 @@ bool SimNetwork::send(NetMessage msg) {
     return false;
   }
   if (msg.from == msg.to) {
-    deliver(std::move(msg), 0.0);
+    deliver_after(0.0, std::move(msg));
     return true;
   }
 
@@ -198,12 +203,12 @@ bool SimNetwork::send(NetMessage msg) {
       // Duplicates are scheduled before a drop verdict is applied: "drop
       // the original, deliver a copy later" is exactly a reorder.
       for (int copy = 1; copy <= fuzz->duplicates; ++copy) {
-        sim_.schedule_after(
-            fuzz->duplicate_gap_ms * copy, [this, dup = msg]() mutable {
-              fuzz_replay_ = true;
-              send(std::move(dup));
-              fuzz_replay_ = false;
-            });
+        sim_.schedule_after(fuzz->duplicate_gap_ms * copy,
+                            [this, slot = in_flight_.park(msg)] {
+                              fuzz_replay_ = true;
+                              send(in_flight_.take(slot));
+                              fuzz_replay_ = false;
+                            });
         if (metric_.fuzz_duplicated) metric_.fuzz_duplicated->add(1);
       }
       if (fuzz->drop) {
@@ -242,7 +247,7 @@ bool SimNetwork::send(NetMessage msg) {
   }
   const double total_delay =
       queue_ms + transfer_ms + link.delay_ms + fuzz_delay_ms;
-  deliver(std::move(msg), total_delay);
+  deliver_after(total_delay, std::move(msg));
   return true;
 }
 

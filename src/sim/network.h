@@ -18,6 +18,7 @@
 #include "model/ids.h"
 #include "obs/instruments.h"
 #include "sim/simulator.h"
+#include "sim/slot_pool.h"
 #include "util/rng.h"
 
 namespace dif::sim {
@@ -117,7 +118,9 @@ class SimNetwork {
 
   // --- messaging ----------------------------------------------------------
 
-  using Receiver = std::function<void(const NetMessage&)>;
+  /// The delivered message is the receiver's to take apart (it is
+  /// discarded after the call), e.g. to send its payload onward.
+  using Receiver = std::function<void(NetMessage&)>;
 
   /// Installs the receiver invoked when a message arrives at `host`.
   void set_receiver(model::HostId host, Receiver receiver);
@@ -126,6 +129,12 @@ class SimNetwork {
   /// no loss. Remote messages are dropped with probability 1 - reliability;
   /// surviving ones arrive after delay + serialized transfer time. Returns
   /// false when the message was immediately unroutable.
+  ///
+  /// A surviving message is moved into network-owned in-flight storage and
+  /// its delivery event captures only (network, slot), so the send path
+  /// copies no payload and allocates no closure. The slot is released when
+  /// the delivery fires; a Simulator::clear() that drops pending deliveries
+  /// leaves their slots parked until the network is destroyed.
   bool send(NetMessage msg);
 
   [[nodiscard]] const MessageStats& stats() const noexcept { return stats_; }
@@ -175,6 +184,9 @@ class SimNetwork {
   };
 
   [[nodiscard]] std::size_t index(model::HostId a, model::HostId b) const;
+  /// Parks `msg` in in-flight storage and schedules its delivery.
+  void deliver_after(double delay_ms, NetMessage msg);
+  void deliver(SlotPool<NetMessage>::Slot slot);
   /// The (lazily created) per-link queue-delay histogram, or null when
   /// metrics are off. Lazy because only links that actually carry traffic
   /// should appear in the registry (k^2 histograms would swamp it).
@@ -196,6 +208,9 @@ class SimNetwork {
   std::vector<obs::Histogram*> link_queue_ms_;  // lazy per-link handles
   FuzzHook fuzz_hook_;
   bool fuzz_replay_ = false;  // true while re-sending an injected duplicate
+  /// In-flight messages (deliveries and pending fuzz duplicates), indexed by
+  /// the slot their simulator event captures.
+  SlotPool<NetMessage> in_flight_;
 };
 
 }  // namespace dif::sim

@@ -6,7 +6,7 @@
 namespace dif::sim {
 
 void Simulator::schedule_at(TimePoint t, std::function<void()> fn) {
-  heap_.push_back({std::max(t, now_), next_seq_++, std::move(fn)});
+  heap_.push_back({std::max(t, now_), next_seq_++, fns_.park(std::move(fn))});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -26,14 +26,16 @@ std::size_t Simulator::fire_batch(std::size_t limit) {
   // order) on the next call.
   while (!heap_.empty() && heap_.front().time == t && batch_.size() < limit) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    batch_.push_back(std::move(heap_.back()));
+    batch_.push_back(heap_.back().slot);
     heap_.pop_back();
   }
   now_ = t;
   ++batches_;
   std::size_t fired = 0;
   while (batch_pos_ < batch_.size()) {
-    auto fn = std::move(batch_[batch_pos_].fn);
+    // Taken out of its slot before it runs, so the handler may reuse the
+    // slot, and clear() never sees a running event.
+    const std::function<void()> fn = fns_.take(batch_[batch_pos_]);
     ++batch_pos_;
     ++processed_;
     ++fired;
@@ -62,9 +64,12 @@ std::size_t Simulator::run_until(TimePoint t) {
 bool Simulator::step() { return fire_batch(1) == 1; }
 
 void Simulator::clear() {
+  // Taking a callable destroys it (and what it captured).
+  for (const Scheduled& s : heap_) fns_.take(s.slot);
   heap_.clear();
-  // Keep the already-fired prefix (their fns are moved-out shells) and drop
-  // the unfired tail, so an in-flight fire_batch loop stops immediately.
+  // Keep the already-fired prefix (its slots were taken) and drop the
+  // unfired tail, so an in-flight fire_batch loop stops immediately.
+  for (std::size_t i = batch_pos_; i < batch_.size(); ++i) fns_.take(batch_[i]);
   batch_.resize(batch_pos_);
 }
 

@@ -13,11 +13,20 @@
 // storms spend their time; the (time, seq) contract is unaffected because a
 // handler scheduled during a batch always gets a larger sequence number than
 // every drained event.
+//
+// The heap orders trivially copyable (time, seq, slot) records; the
+// callables live in slot storage that is reused through a free list. A sift
+// therefore moves 24-byte records instead of std::function objects, and a
+// steady-state schedule/fire cycle allocates nothing beyond what the
+// callable itself needs (none for captures that fit std::function's small
+// buffer, e.g. a pointer plus an index).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "sim/slot_pool.h"
 
 namespace dif::sim {
 
@@ -67,10 +76,11 @@ class Simulator {
   void clear();
 
  private:
+  using Callables = SlotPool<std::function<void()>>;
   struct Scheduled {
     TimePoint time;
     std::uint64_t seq;
-    std::function<void()> fn;
+    Callables::Slot slot;  // where the callable waits in fns_
   };
   struct Later {
     bool operator()(const Scheduled& a, const Scheduled& b) const noexcept {
@@ -87,12 +97,13 @@ class Simulator {
   std::size_t fire_batch(std::size_t limit);
 
   /// Explicit binary heap (std::push_heap / std::pop_heap) ordered by
-  /// (time, seq). An explicit vector — unlike std::priority_queue — lets the
-  /// dispatcher move events out without const_cast and lets clear() drop
-  /// storage without popping one element at a time.
+  /// (time, seq). An explicit vector — unlike std::priority_queue — lets
+  /// clear() walk the pending records without popping them one at a time.
   std::vector<Scheduled> heap_;
-  /// Current dispatch batch; entries before batch_pos_ already fired.
-  std::vector<Scheduled> batch_;
+  Callables fns_;
+  /// Slots of the current dispatch batch; entries before batch_pos_ already
+  /// fired (and were taken).
+  std::vector<Callables::Slot> batch_;
   std::size_t batch_pos_ = 0;
   TimePoint now_ = 0.0;
   std::uint64_t next_seq_ = 0;

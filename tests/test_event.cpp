@@ -130,5 +130,29 @@ TEST(Event, EmptyEventSerializes) {
   EXPECT_TRUE(back.params().empty());
 }
 
+TEST(Event, FlaggedFormsMatchACopyWithTheFlagSet) {
+  // serialize_flagged / size_kb_flagged must equal copy + set(flag, true)
+  // whether the flag is absent, already a bool, or some other value.
+  Event absent("e");
+  absent.set_to("dst");
+  absent.set("n", 2.5);
+  absent.set("blob", std::vector<std::uint8_t>(40, 1));
+  Event as_bool = absent;
+  as_bool.set("mark", false);
+  as_bool.set("after", std::string("tail"));
+  Event as_string("e");
+  as_string.set("mark", std::string("a long replaced value"));
+  as_string.set("after", true);
+  for (const Event* e : {&absent, &as_bool, &as_string}) {
+    Event copy = *e;
+    copy.set("mark", true);
+    EXPECT_EQ(e->serialize_flagged("mark"), copy.serialize());
+    EXPECT_EQ(e->size_kb_flagged("mark"), copy.size_kb());
+  }
+  EXPECT_EQ(Event::deserialize(absent.serialize_flagged("mark"))
+                .get_bool("mark"),
+            true);
+}
+
 }  // namespace
 }  // namespace dif::prism

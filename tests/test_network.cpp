@@ -115,6 +115,39 @@ TEST(SimNetwork, SeverBlocksAndRestoreReopens) {
   EXPECT_EQ(f.received.size(), 1u);
 }
 
+TEST(SimNetwork, ReusedInFlightStorageNeverLeaksEarlierMessages) {
+  Fixture f;
+  f.net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 100.0,
+                        .delay_ms = 5.0});
+  // A long (heap-allocated) channel and a payload first, then messages
+  // that carry less: each delivery must see exactly its own fields.
+  NetMessage big = f.msg(0, 1, 2.0);
+  big.channel = "a-channel-name-well-past-small-string-size";
+  big.payload.assign(300, 0xab);
+  EXPECT_TRUE(f.net.send(std::move(big)));
+  f.sim.run();
+  NetMessage bare = f.msg(1, 0, 0.5);
+  bare.channel = "b";
+  EXPECT_TRUE(f.net.send(std::move(bare)));
+  NetMessage local = f.msg(1, 1, 0.0);
+  local.payload = {1, 2};
+  EXPECT_TRUE(f.net.send(std::move(local)));
+  f.sim.run();
+  ASSERT_EQ(f.received.size(), 3u);
+  EXPECT_EQ(f.received[0].payload.size(), 300u);
+  // Local deliveries ride the next tick; the remote one its link delay.
+  EXPECT_EQ(f.received[1].from, 1u);
+  EXPECT_EQ(f.received[1].to, 1u);
+  EXPECT_EQ(f.received[1].channel, "test");
+  EXPECT_EQ(f.received[1].payload, (std::vector<std::uint8_t>{1, 2}));
+  EXPECT_DOUBLE_EQ(f.received[1].size_kb, 0.0);
+  EXPECT_EQ(f.received[2].from, 1u);
+  EXPECT_EQ(f.received[2].to, 0u);
+  EXPECT_EQ(f.received[2].channel, "b");
+  EXPECT_TRUE(f.received[2].payload.empty());
+  EXPECT_DOUBLE_EQ(f.received[2].size_kb, 0.5);
+}
+
 TEST(SimNetwork, LinksAreSymmetric) {
   Fixture f;
   f.net.set_link(2, 0, {.reliability = 0.5, .bandwidth = 42.0});
@@ -242,6 +275,7 @@ TEST(HostFailure, InFlightMessageToCrashedHostIsDropped) {
   sim.run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(net.stats().dropped, 1u);
+  EXPECT_EQ(net.link_dropped(0, 1), 1u);  // charged to the link it rode
 }
 
 TEST(HostFailure, CrashedAndRecoveredHostResumesService) {

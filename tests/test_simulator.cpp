@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 namespace dif::sim {
 namespace {
 
@@ -187,6 +191,78 @@ TEST(Simulator, BatchedDispatchIsDeterministic) {
     return order;
   };
   EXPECT_EQ(record(), record());
+}
+
+// --- slot storage lifetime ---------------------------------------------------
+
+TEST(Simulator, CapturedStateIsReleasedAfterItsEventFires) {
+  Simulator sim;
+  auto token = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = token;
+  bool alive_while_running = false;
+  sim.schedule_at(1.0, [&alive_while_running, token = std::move(token)] {
+    alive_while_running = *token == 1;
+  });
+  sim.schedule_at(2.0, [&] { EXPECT_TRUE(watch.expired()); });
+  sim.run();
+  EXPECT_TRUE(alive_while_running);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(Simulator, ClearReleasesCapturedState) {
+  Simulator sim;
+  auto token = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = token;
+  sim.schedule_at(1.0, [token = std::move(token)] {});
+  sim.clear();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sim.run(), 0u);
+}
+
+TEST(Simulator, ClearInsideHandlerReleasesTheRestButNotItself) {
+  Simulator sim;
+  auto own = std::make_shared<int>(7);
+  auto same_batch = std::make_shared<int>(1);
+  auto later = std::make_shared<int>(2);
+  const std::weak_ptr<int> watch_own = own;
+  const std::weak_ptr<int> watch_same = same_batch;
+  const std::weak_ptr<int> watch_later = later;
+  int seen_after_clear = 0;
+  sim.schedule_at(1.0, [&, own = std::move(own)] {
+    sim.clear();
+    EXPECT_TRUE(watch_same.expired());
+    EXPECT_TRUE(watch_later.expired());
+    seen_after_clear = *own;  // the running handler's captures survive
+  });
+  sim.schedule_at(1.0, [same_batch = std::move(same_batch)] {});
+  sim.schedule_at(2.0, [later = std::move(later)] {});
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(seen_after_clear, 7);
+  EXPECT_TRUE(watch_own.expired());
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, EventsAfterClearReuseStorageInTimeSeqOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i)
+    sim.schedule_at(10.0 + i, [&] { order.push_back(-1); });
+  sim.clear();
+  // The freed slots come back in reverse, so slot order disagrees with
+  // (time, seq) order; dispatch must follow the latter.
+  sim.schedule_at(3.0, [&] { order.push_back(2); });
+  sim.schedule_at(1.0, [&] { order.push_back(0); });
+  sim.schedule_at(3.0, [&] { order.push_back(3); });
+  sim.schedule_at(2.0, [&] { order.push_back(1); });
+  sim.schedule_at(3.0, [&] {
+    order.push_back(4);
+    sim.schedule_at(3.0, [&] { order.push_back(6); });
+  });
+  sim.schedule_at(3.0, [&] { order.push_back(5); });
+  sim.schedule_at(4.0, [&] { order.push_back(7); });
+  sim.schedule_at(4.0, [&] { order.push_back(8); });
+  EXPECT_EQ(sim.run(), 9u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 }  // namespace

@@ -128,5 +128,52 @@ TEST(StoreAndForward, RepeatedOutagesKeepQueueConsistent) {
   EXPECT_EQ(bed.d0->queued_messages(), 0u);
 }
 
+TEST(StoreAndForward, QueuedEventKeepsItsOriginalBytes) {
+  // The queue holds the one copy store-and-forward needs: the refused send
+  // still reaches the network (and counts as unroutable), and the flushed
+  // message must match byte for byte what a connected send puts on the
+  // wire.
+  Bed bed;
+  bed.d0->enable_store_and_forward(500.0);
+  std::vector<sim::NetMessage> wire;
+  bed.net.set_fuzz_hook(
+      [&](const sim::NetMessage& m) -> std::optional<sim::FuzzDecision> {
+        if (m.channel == kEventChannel) wire.push_back(m);
+        return std::nullopt;
+      });
+  const auto make = [] {
+    Event e("blob");
+    e.set_to("sink");
+    e.set("state", std::vector<std::uint8_t>(200, 0x5a));
+    e.set("memory_kb", 64.0);
+    e.set("note", std::string("kept"));
+    return e;
+  };
+  bed.sender->send(make());
+  bed.sim.run_until(1'000.0);
+  bed.net.sever(0, 1);
+  bed.sender->send(make());
+  bed.sim.run_until(2'000.0);
+  EXPECT_EQ(bed.d0->queued_messages(), 1u);
+  EXPECT_EQ(bed.net.stats().unroutable, 1u);
+  bed.net.restore(0, 1);
+  bed.sim.run_until(5'000.0);
+  EXPECT_EQ(bed.d0->flushed_messages(), 1u);
+
+  ASSERT_EQ(wire.size(), 2u);
+  EXPECT_EQ(wire[1].payload, wire[0].payload);
+  EXPECT_EQ(wire[1].from, 0u);
+  EXPECT_EQ(wire[1].to, 1u);
+  EXPECT_DOUBLE_EQ(wire[1].size_kb, 64.0);
+  ASSERT_EQ(bed.sink->received.size(), 2u);
+  const Event& flushed = bed.sink->received[1];
+  EXPECT_EQ(flushed.name(), "blob");
+  ASSERT_NE(flushed.get_bytes("state"), nullptr);
+  EXPECT_EQ(*flushed.get_bytes("state"),
+            std::vector<std::uint8_t>(200, 0x5a));
+  ASSERT_NE(flushed.get_string("note"), nullptr);
+  EXPECT_EQ(*flushed.get_string("note"), "kept");
+}
+
 }  // namespace
 }  // namespace dif::prism
