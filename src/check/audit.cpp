@@ -1,9 +1,7 @@
 #include "check/audit.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,12 +17,6 @@ namespace {
 using model::ComponentId;
 using model::DeploymentModel;
 using model::HostId;
-
-std::string fmt(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
 
 /// First `cap` names, with a "+N more" tail when truncated.
 std::vector<std::string> capped_names(const std::vector<std::string>& names,
@@ -174,28 +166,41 @@ CheckReport PlacementAuditor::audit(const AnalysisContext& ctx,
 
   // Advisory bandwidth audit: aggregate interaction traffic per host pair.
   if (options_.check_bandwidth) {
-    std::map<std::pair<HostId, HostId>, double> traffic;
-    std::map<std::pair<HostId, HostId>, std::size_t> flows;
+    // One entry per remote interaction, grouped by host pair with a stable
+    // sort so that each pair's load sums in interaction order.
+    struct Crossing {
+      std::pair<HostId, HostId> hosts;
+      double demand;
+    };
+    std::vector<Crossing> crossings;
     for (const model::Interaction& ix : m.interactions()) {
       if (ix.a >= covered || ix.b >= covered) continue;
       if (!placed[ix.a] || !placed[ix.b]) continue;
       const HostId ha = where[ix.a];
       const HostId hb = where[ix.b];
       if (ha == hb) continue;  // local delivery, no physical link involved
-      const auto key = std::minmax(ha, hb);
-      traffic[key] += ix.frequency * ix.avg_event_size;
-      ++flows[key];
+      crossings.push_back(
+          {std::minmax(ha, hb), ix.frequency * ix.avg_event_size});
     }
-    for (const auto& [key, load] : traffic) {
-      const auto [ha, hb] = key;
-      const std::string subject = "link " +
-                                  m.host(static_cast<HostId>(ha)).name + "--" +
-                                  m.host(static_cast<HostId>(hb)).name;
+    std::stable_sort(crossings.begin(), crossings.end(),
+                     [](const Crossing& x, const Crossing& y) {
+                       return x.hosts < y.hosts;
+                     });
+    for (std::size_t i = 0; i < crossings.size();) {
+      const auto [ha, hb] = crossings[i].hosts;
+      double load = 0.0;
+      std::size_t flows = 0;
+      for (; i < crossings.size() && crossings[i].hosts == std::pair{ha, hb};
+           ++i, ++flows)
+        load += crossings[i].demand;
+      const auto subject = [&, ha = ha, hb = hb] {
+        return "link " + m.host(ha).name + "--" + m.host(hb).name;
+      };
       if (!m.connected(ha, hb)) {
         report.add({Rule::kPlacementBandwidth,
                     Severity::kWarning,
-                    {subject},
-                    std::to_string(flows[key]) +
+                    {subject()},
+                    std::to_string(flows) +
                         " interaction(s) cross this host pair but no direct "
                         "physical link exists: " +
                         fmt(load) +
@@ -207,7 +212,7 @@ CheckReport PlacementAuditor::audit(const AnalysisContext& ctx,
       if (load > link.bandwidth)
         report.add({Rule::kPlacementBandwidth,
                     Severity::kWarning,
-                    {subject},
+                    {subject()},
                     "aggregate interaction traffic " + fmt(load) +
                         " KB/s oversubscribes the link's " +
                         fmt(link.bandwidth) + " KB/s",

@@ -1,8 +1,15 @@
 #include "check/diagnostic.h"
 
+#include <cstdio>
 #include <sstream>
 
 namespace dif::check {
+
+std::string fmt(double value) {
+  char buf[32];  // "%g" prints at most 13 characters ("-1.23456e-308")
+  const int len = std::snprintf(buf, sizeof buf, "%g", value);
+  return std::string(buf, static_cast<std::size_t>(len));
+}
 
 std::string_view rule_id(Rule rule) noexcept {
   switch (rule) {
@@ -43,6 +50,13 @@ void CheckReport::add(Diagnostic diagnostic) {
     ++warnings_;
   }
   diagnostics_.push_back(std::move(diagnostic));
+}
+
+void CheckReport::append(CheckReport other, std::string_view message_prefix) {
+  for (Diagnostic& d : other.diagnostics_) {
+    if (!message_prefix.empty()) d.message.insert(0, message_prefix);
+    add(std::move(d));
+  }
 }
 
 bool CheckReport::has(Rule rule) const noexcept { return count(rule) > 0; }

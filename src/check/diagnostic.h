@@ -100,6 +100,11 @@ enum class Rule {
 
 enum class Severity { kWarning, kError };
 
+/// A number as diagnostic messages print it: the default `std::ostream <<`
+/// form ("%g", six significant digits; "inf", "nan"), without building a
+/// stream per call.
+[[nodiscard]] std::string fmt(double value);
+
 /// Stable kebab-case rule id, e.g. "capacity-pigeonhole".
 [[nodiscard]] std::string_view rule_id(Rule rule) noexcept;
 [[nodiscard]] std::string_view to_string(Severity severity) noexcept;
@@ -124,6 +129,9 @@ struct Diagnostic {
 class CheckReport {
  public:
   void add(Diagnostic diagnostic);
+  /// Moves every diagnostic of `other` to the end of this report, in order,
+  /// prefixing each message with `message_prefix`.
+  void append(CheckReport other, std::string_view message_prefix = {});
 
   [[nodiscard]] const std::vector<Diagnostic>& diagnostics() const noexcept {
     return diagnostics_;

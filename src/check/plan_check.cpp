@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "model/constraints.h"
@@ -18,12 +17,6 @@ using model::HostId;
 
 // Capacity comparisons tolerate accumulated floating-point noise.
 constexpr double kEpsilon = 1e-9;
-
-std::string fmt(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
 
 std::string host_subject(const PlanContext& ctx, HostId h) {
   if (h < ctx.host_names.size()) return "host " + ctx.host_names[h];
@@ -212,8 +205,7 @@ CheckReport check_plan(const model::DeploymentModel& m,
     known.push_back(task);
   }
 
-  const CheckReport checked = MigrationPlanChecker().check(known, ctx);
-  for (const Diagnostic& d : checked.diagnostics()) report.add(d);
+  report.append(MigrationPlanChecker().check(known, ctx));
 
   // Post-plan placement validity: apply the admitted tasks to a copy and
   // run the placement auditor over the result.
@@ -229,13 +221,8 @@ CheckReport check_plan(const model::DeploymentModel& m,
     if (it != by_name.end() && it->second < post.size())
       post.assign(it->second, task.to);
   }
-  const CheckReport after =
-      PlacementAuditor(audit_options).audit(m, set, post);
-  for (const Diagnostic& d : after.diagnostics()) {
-    Diagnostic copy = d;
-    copy.message = "post-plan: " + copy.message;
-    report.add(std::move(copy));
-  }
+  report.append(PlacementAuditor(audit_options).audit(m, set, post),
+                "post-plan: ");
   return report;
 }
 

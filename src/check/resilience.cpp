@@ -18,31 +18,46 @@ using model::ComponentId;
 using model::DeploymentModel;
 using model::HostId;
 
-/// Joins up to `cap` names, appending "+N more" when truncated.
-std::string join_names(const std::vector<std::string>& names,
-                       std::size_t cap) {
+/// Joins the first `cap` of `count` names (name(i) for i < count), appending
+/// "+N more" when truncated.
+template <typename Name>
+std::string join_names(std::size_t count, std::size_t cap, const Name& name) {
   std::string out;
-  const std::size_t shown = std::min(names.size(), cap);
+  const std::size_t shown = std::min(count, cap);
   for (std::size_t i = 0; i < shown; ++i) {
     if (i > 0) out += ", ";
-    out += names[i];
+    out += name(i);
   }
-  if (names.size() > shown)
-    out += ", +" + std::to_string(names.size() - shown) + " more";
+  if (count > shown) out += ", +" + std::to_string(count - shown) + " more";
   return out;
 }
 
+std::string join_names(const std::vector<std::string>& names,
+                       std::size_t cap) {
+  return join_names(names.size(), cap,
+                    [&](std::size_t i) -> const std::string& {
+                      return names[i];
+                    });
+}
+
 /// Diagnostic sink with a hard cap; overflow collapses into one summary.
+/// Once full() a finding need not be built at all: skip() counts it.
 class Emitter {
  public:
   Emitter(CheckReport& report, std::size_t cap) : report_(report), cap_(cap) {}
 
-  void add(Diagnostic d) {
-    if (report_.diagnostics().size() < cap_)
-      report_.add(std::move(d));
-    else
-      ++suppressed_;
+  [[nodiscard]] bool full() const {
+    return report_.diagnostics().size() >= cap_;
   }
+
+  void add(Diagnostic d) {
+    if (full())
+      skip();
+    else
+      report_.add(std::move(d));
+  }
+
+  void skip() { ++suppressed_; }
 
   void flush() {
     if (suppressed_ == 0) return;
@@ -59,6 +74,55 @@ class Emitter {
   std::size_t cap_;
   std::size_t suppressed_ = 0;
 };
+
+/// Articulation points of the host graph: the hosts whose removal splits
+/// their connected component. One iterative Tarjan low-link pass, O(k + E).
+std::vector<bool> articulation_points(
+    const std::vector<std::vector<HostId>>& adj) {
+  const std::size_t k = adj.size();
+  std::vector<bool> cut(k, false);
+  std::vector<std::size_t> disc(k, 0);  // discovery time; 0 == unvisited
+  std::vector<std::size_t> low(k, 0);
+  struct Frame {
+    HostId host;
+    std::size_t next;      // next neighbour index to explore
+    std::size_t children;  // DFS-tree children (decides the root's status)
+  };
+  std::vector<Frame> stack;
+  std::size_t time = 0;
+  for (std::size_t root = 0; root < k; ++root) {
+    if (disc[root] != 0) continue;
+    disc[root] = low[root] = ++time;
+    stack.push_back({static_cast<HostId>(root), 0, 0});
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      const HostId h = top.host;
+      if (top.next < adj[h].size()) {
+        const HostId other = adj[h][top.next++];
+        if (disc[other] == 0) {
+          ++top.children;
+          disc[other] = low[other] = ++time;
+          stack.push_back({other, 0, 0});
+        } else {
+          // Back edge (or the tree edge to the parent, whose disc never
+          // lowers low[h] below what the parent test needs).
+          low[h] = std::min(low[h], disc[other]);
+        }
+        continue;
+      }
+      const std::size_t children = top.children;
+      stack.pop_back();
+      if (stack.empty()) {
+        cut[h] = children > 1;  // the root splits iff it has two subtrees
+        continue;
+      }
+      const HostId parent = stack.back().host;
+      low[parent] = std::min(low[parent], low[h]);
+      if (stack.size() > 1 && low[h] >= disc[parent]) cut[parent] = true;
+    }
+  }
+  return cut;
+}
 
 /// Connected-component labels of the host graph with `failed` hosts
 /// removed. Failed hosts keep label k (never matched against).
@@ -224,70 +288,97 @@ CheckReport ResilienceProver::prove(const DeploymentModel& m,
   // Host adjacency (links with bandwidth > 0) and the resolved placement.
   // Unassigned or out-of-range components are the PlacementAuditor's
   // findings; here they simply carry no service to lose.
-  std::vector<std::vector<HostId>> adj(k);
-  for (std::size_t a = 0; a < k; ++a)
-    for (std::size_t b = 0; b < k; ++b)
-      if (a != b &&
-          m.connected(static_cast<HostId>(a), static_cast<HostId>(b)))
-        adj[a].push_back(static_cast<HostId>(b));
+  const std::vector<std::vector<HostId>> adj = m.host_adjacency();
 
   std::vector<bool> placed(covered, false);
   std::vector<HostId> where(covered, 0);
-  std::vector<std::vector<std::string>> residents(k);
+  std::vector<std::vector<ComponentId>> residents(k);
   for (std::size_t c = 0; c < covered; ++c) {
     const auto cid = static_cast<ComponentId>(c);
     if (!d.is_assigned(cid) || d.host_of(cid) >= k) continue;
     placed[c] = true;
     where[c] = d.host_of(cid);
-    residents[where[c]].push_back(m.component(cid).name);
+    residents[where[c]].push_back(cid);
   }
 
   // Live remote interactions: both endpoints placed, on distinct hosts.
   struct Flow {
     HostId a;
     HostId b;
-    std::string name;
+    ComponentId from;
+    ComponentId to;
   };
   std::vector<Flow> flows;
   for (const model::Interaction& ix : m.interactions()) {
     if (ix.a >= covered || ix.b >= covered) continue;
     if (!placed[ix.a] || !placed[ix.b]) continue;
     if (where[ix.a] == where[ix.b]) continue;
-    flows.push_back({where[ix.a], where[ix.b],
-                     m.component(static_cast<ComponentId>(ix.a)).name + "--" +
-                         m.component(static_cast<ComponentId>(ix.b)).name});
+    flows.push_back({where[ix.a], where[ix.b], ix.a, ix.b});
   }
+  const auto flow_name = [&](const Flow& f) {
+    return m.component(f.from).name + "--" + m.component(f.to).name;
+  };
 
   // k = 1 sweep: every single host's failure, with partition analysis.
+  // Removing a host that is not an articulation point leaves the other
+  // hosts' partition as it was, so it severs exactly the flows the intact
+  // graph already cannot carry (less its own); only articulation points
+  // need a relabel. Past the diagnostic cap a finding is only counted.
   if (options_.max_failures >= 1) {
+    const std::vector<bool> articulation = articulation_points(adj);
     std::vector<bool> failed(k, false);
-    for (std::size_t h = 0; h < k; ++h) {
-      failed[h] = true;
-      std::vector<std::string> severed;
-      const std::vector<std::size_t> label = surviving_labels(adj, failed);
-      for (const Flow& f : flows) {
-        if (f.a == h || f.b == h) continue;  // endpoint loss counted below
-        if (label[f.a] != label[f.b]) severed.push_back(f.name);
-      }
-      failed[h] = false;
-      if (residents[h].empty() && severed.empty()) continue;
+    const std::vector<std::size_t> base = surviving_labels(adj, failed);
+    std::vector<std::size_t> base_severed;  // indices into flows
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      if (base[flows[i].a] != base[flows[i].b]) base_severed.push_back(i);
 
+    std::vector<std::size_t> severed;
+    for (std::size_t h = 0; h < k; ++h) {
+      if (emit.full() && !residents[h].empty()) {
+        emit.skip();
+        continue;
+      }
+      severed.clear();
+      const auto touches = [h](const Flow& f) { return f.a == h || f.b == h; };
+      if (articulation[h]) {
+        failed[h] = true;
+        const std::vector<std::size_t> label = surviving_labels(adj, failed);
+        failed[h] = false;
+        for (std::size_t i = 0; i < flows.size(); ++i)
+          if (!touches(flows[i]) && label[flows[i].a] != label[flows[i].b])
+            severed.push_back(i);  // endpoint loss is counted below
+      } else {
+        for (const std::size_t i : base_severed)
+          if (!touches(flows[i])) severed.push_back(i);
+      }
+      if (residents[h].empty() && severed.empty()) continue;
+      if (emit.full()) {
+        emit.skip();
+        continue;
+      }
+
+      const std::vector<ComponentId>& lost = residents[h];
       std::string message;
-      if (!residents[h].empty())
-        message += "its failure takes down " +
-                   std::to_string(residents[h].size()) + " component(s): " +
-                   join_names(residents[h], 5);
+      if (!lost.empty())
+        message += "its failure takes down " + std::to_string(lost.size()) +
+                   " component(s): " +
+                   join_names(lost.size(), 5, [&](std::size_t i) {
+                     return m.component(lost[i]).name;
+                   });
       if (!severed.empty()) {
         if (!message.empty()) message += "; ";
         message += "it is an articulation point severing " +
                    std::to_string(severed.size()) +
-                   " surviving interaction(s): " + join_names(severed, 5);
+                   " surviving interaction(s): " +
+                   join_names(severed.size(), 5, [&](std::size_t i) {
+                     return flow_name(flows[severed[i]]);
+                   });
       }
       emit.add({Rule::kResilienceSpof,
                 Severity::kWarning,
                 {"host " + m.host(static_cast<HostId>(h)).name},
                 std::move(message),
-                residents[h].empty()
+                lost.empty()
                     ? "add a redundant physical path around this host"
                     : "replicate or re-place the residents off this host",
                 {m.host(static_cast<HostId>(h)).name}});
@@ -302,7 +393,7 @@ CheckReport ResilienceProver::prove(const DeploymentModel& m,
       const auto members = cutter.cut(f.a, f.b, options_.max_failures);
       // Size-1 cuts are the sweep's articulation findings.
       if (!members || members->size() < 2) continue;
-      by_cut[*members].push_back(f.name);
+      by_cut[*members].push_back(flow_name(f));
     }
     for (const auto& [members, names] : by_cut) {
       std::vector<std::string> witness;
@@ -322,8 +413,9 @@ CheckReport ResilienceProver::prove(const DeploymentModel& m,
   }
 
   // Whole-region failures.
-  if (options_.regions && m.region_count() >= 2) {
-    for (std::size_t r = 0; r < m.region_count(); ++r) {
+  const std::size_t regions = options_.regions ? m.region_count() : 1;
+  if (regions >= 2) {
+    for (std::size_t r = 0; r < regions; ++r) {
       const std::vector<HostId> region_hosts = m.hosts_in_region(r);
       if (region_hosts.empty()) continue;
       std::vector<bool> failed(k, false);
@@ -332,13 +424,14 @@ CheckReport ResilienceProver::prove(const DeploymentModel& m,
       for (const HostId h : region_hosts) {
         failed[h] = true;
         witness.push_back(m.host(h).name);
-        lost.insert(lost.end(), residents[h].begin(), residents[h].end());
+        for (const ComponentId c : residents[h])
+          lost.push_back(m.component(c).name);
       }
       std::vector<std::string> severed;
       const std::vector<std::size_t> label = surviving_labels(adj, failed);
       for (const Flow& f : flows) {
         if (failed[f.a] || failed[f.b]) continue;
-        if (label[f.a] != label[f.b]) severed.push_back(f.name);
+        if (label[f.a] != label[f.b]) severed.push_back(flow_name(f));
       }
       if (lost.empty() && severed.empty()) continue;
 

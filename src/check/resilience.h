@@ -9,9 +9,11 @@
 //                      loses components or severs live interactions. k = 1
 //                      is a per-host sweep (resident components plus
 //                      articulation-point partition analysis of the host
-//                      graph); k ≥ 2 adds a minimum vertex cut per
-//                      interaction (unit-capacity max-flow over the split
-//                      host graph), whose cut set is the witness.
+//                      graph: one Tarjan pass, then a relabel per
+//                      articulation point only); k ≥ 2 adds a minimum
+//                      vertex cut per interaction (unit-capacity max-flow
+//                      over the split host graph), whose cut set is the
+//                      witness.
 //   resilience-region  one failure region (DeploymentModel regions, PR 6)
 //                      going down loses components or severs interactions
 //                      between the survivors.

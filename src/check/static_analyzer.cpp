@@ -6,7 +6,8 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <sstream>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "model/constraints.h"
@@ -20,12 +21,6 @@ using model::ComponentId;
 using model::ConstraintSet;
 using model::DeploymentModel;
 using model::HostId;
-
-std::string fmt(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
 
 /// Union-find with path halving over component ids.
 class UnionFind {
@@ -46,10 +41,6 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-bool mask_bit(const std::vector<std::uint64_t>& mask, std::size_t h) {
-  return (mask[h / 64] >> (h % 64)) & 1u;
-}
-
 std::size_t mask_count(const std::vector<std::uint64_t>& mask) {
   std::size_t total = 0;
   for (const std::uint64_t w : mask)
@@ -66,6 +57,9 @@ struct Ctx {
   CheckReport& report;
   std::size_t n;  // components
   std::size_t k;  // hosts
+  /// Host adjacency (DeploymentModel::host_adjacency), built once per
+  /// analyze() when a network rule or lint is enabled; empty otherwise.
+  std::vector<std::vector<HostId>> adj;
 };
 
 void check_dangling(Ctx& ctx) {
@@ -148,10 +142,14 @@ void check_param_ranges(Ctx& ctx) {
                  " is not a finite non-negative number",
              "set a non-negative CPU load");
   }
+  // The raw link triangle: physical_link() canonicalizes stored links with
+  // bandwidth <= 0 and reliability <= 0 to the all-zero absent link, which
+  // the test below skips either way.
+  const model::PhysicalLinkTable links = ctx.m.physical_link_table();
   for (std::size_t a = 0; a < ctx.k; ++a) {
     for (std::size_t b = a + 1; b < ctx.k; ++b) {
-      const model::PhysicalLink& link = ctx.m.physical_link(
-          static_cast<HostId>(a), static_cast<HostId>(b));
+      const model::PhysicalLink& link =
+          links.at(static_cast<HostId>(a), static_cast<HostId>(b));
       if (link.bandwidth <= 0.0 && link.reliability <= 0.0 &&
           !std::isnan(link.reliability) && !std::isnan(link.bandwidth))
         continue;  // absent link
@@ -175,25 +173,21 @@ void check_param_ranges(Ctx& ctx) {
                "set a non-negative delay in ms");
     }
   }
-  // Iterate the raw logical links, not interactions(): the interaction
+  // Walk the stored logical links, not interactions(): the interaction
   // cache filters on frequency > 0, which would hide negative/NaN entries.
-  for (std::size_t a = 0; a < ctx.n; ++a) {
-    for (std::size_t b = a + 1; b < ctx.n; ++b) {
-      const model::LogicalLink& link = ctx.m.logical_link(
-          static_cast<ComponentId>(a), static_cast<ComponentId>(b));
-      if (link.frequency == 0.0 && link.avg_event_size == 0.0)
-        continue;  // absent interaction
-      const std::string subject =
-          "interaction " + ctx.m.component(static_cast<ComponentId>(a)).name +
-          "--" + ctx.m.component(static_cast<ComponentId>(b)).name;
-      if (bad_nonneg(link.frequency))
-        report(subject, "frequency " + fmt(link.frequency) + " is invalid",
-               "set a non-negative interaction frequency");
-      if (bad_nonneg(link.avg_event_size))
-        report(subject,
-               "event size " + fmt(link.avg_event_size) + " is invalid",
-               "set a non-negative average event size in KB");
-    }
+  for (const auto& [a, b] : ctx.m.logical_link_pairs()) {
+    const model::LogicalLink& link = ctx.m.logical_link(a, b);
+    if (link.frequency == 0.0 && link.avg_event_size == 0.0)
+      continue;  // absent interaction
+    const std::string subject = "interaction " + ctx.m.component(a).name +
+                                "--" + ctx.m.component(b).name;
+    if (bad_nonneg(link.frequency))
+      report(subject, "frequency " + fmt(link.frequency) + " is invalid",
+             "set a non-negative interaction frequency");
+    if (bad_nonneg(link.avg_event_size))
+      report(subject,
+             "event size " + fmt(link.avg_event_size) + " is invalid",
+             "set a non-negative average event size in KB");
   }
 }
 
@@ -241,6 +235,28 @@ std::string group_subjects(const Ctx& ctx,
   return out + "}";
 }
 
+/// The largest memory and CPU capacity among the hosts set in `legal`, and
+/// whether every one of them models CPU.
+struct LegalHostBest {
+  double mem = 0.0;
+  double cpu = 0.0;
+  bool all_model_cpu = true;
+};
+
+LegalHostBest best_legal_host(const Ctx& ctx,
+                              const std::vector<std::uint64_t>& legal) {
+  LegalHostBest best;
+  for (std::size_t w = 0; w < legal.size(); ++w)
+    for (std::uint64_t bits = legal[w]; bits != 0; bits &= bits - 1) {
+      const auto h = static_cast<HostId>(w * 64 + std::countr_zero(bits));
+      const model::Host& host = ctx.m.host(h);
+      best.mem = std::max(best.mem, host.memory_capacity);
+      best.cpu = std::max(best.cpu, host.cpu_capacity);
+      best.all_model_cpu &= host.cpu_capacity > 0.0;
+    }
+  return best;
+}
+
 void check_groups(Ctx& ctx, bool location_satisfiability,
                   bool capacity_bounds) {
   if (ctx.k == 0) return;
@@ -261,6 +277,7 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
                       "grow the hosts or shrink the components"});
   }
 
+  std::optional<LegalHostBest> best_anywhere;
   for (const auto& group : ctx.a.groups()) {
     // Skip groups with an individually-unsatisfiable member: location-unsat
     // already reported the root cause.
@@ -288,44 +305,44 @@ void check_groups(Ctx& ctx, bool location_satisfiability,
       group_mem += ctx.m.component(static_cast<ComponentId>(c)).memory_size;
       group_cpu += ctx.m.component(static_cast<ComponentId>(c)).cpu_load;
     }
-    double best_mem = 0.0, best_cpu = 0.0;
-    bool all_model_cpu = true;
-    for (std::size_t h = 0; h < ctx.k; ++h) {
-      if (!mask_bit(common, h)) continue;
-      const model::Host& host = ctx.m.host(static_cast<HostId>(h));
-      best_mem = std::max(best_mem, host.memory_capacity);
-      best_cpu = std::max(best_cpu, host.cpu_capacity);
-      all_model_cpu &= host.cpu_capacity > 0.0;
-    }
-    const std::string subject = group.size() == 1
-                                    ? ctx.a.component_subject(group[0])
-                                    : group_subjects(ctx, group);
-    if (group_mem > best_mem)
+    // Most groups may use every host: that best is computed once.
+    const bool everywhere = legal_hosts == ctx.k;
+    if (everywhere && !best_anywhere)
+      best_anywhere = best_legal_host(ctx, common);
+    const LegalHostBest best =
+        everywhere ? *best_anywhere : best_legal_host(ctx, common);
+    const auto subject = [&] {
+      return group.size() == 1 ? ctx.a.component_subject(group[0])
+                               : group_subjects(ctx, group);
+    };
+    if (group_mem > best.mem)
       ctx.report.add(
           {Rule::kCapacityPigeonhole,
            Severity::kError,
-           {subject},
+           {subject()},
            (group.size() == 1 ? "memory footprint "
                               : "combined memory footprint ") +
                fmt(group_mem) + " KB exceeds the best legal host's " +
-               fmt(best_mem) + " KB",
+               fmt(best.mem) + " KB",
            "grow a legal host, shrink the components, or relax the "
            "constraints"});
-    if (all_model_cpu && group_cpu > best_cpu)
+    if (best.all_model_cpu && group_cpu > best.cpu)
       ctx.report.add(
           {Rule::kCapacityPigeonhole,
            Severity::kError,
-           {subject},
+           {subject()},
            (group.size() == 1 ? "CPU load " : "combined CPU load ") +
                fmt(group_cpu) + " exceeds the best legal host's capacity " +
-               fmt(best_cpu),
+               fmt(best.cpu),
            "grow a legal host's CPU capacity or relax the constraints"});
   }
 }
 
-/// Connected components of the physical network (links with bandwidth > 0).
-std::vector<std::size_t> network_components(const DeploymentModel& m) {
-  const std::size_t k = m.host_count();
+/// Connected components of the physical network (links with bandwidth > 0),
+/// numbered in order of their lowest host.
+std::vector<std::size_t> network_components(
+    const std::vector<std::vector<HostId>>& adj) {
+  const std::size_t k = adj.size();
   std::vector<std::size_t> label(k, k);  // k == unvisited
   std::size_t next = 0;
   std::vector<std::size_t> stack;
@@ -336,12 +353,10 @@ std::vector<std::size_t> network_components(const DeploymentModel& m) {
     while (!stack.empty()) {
       const std::size_t h = stack.back();
       stack.pop_back();
-      for (std::size_t other = 0; other < k; ++other) {
+      for (const HostId other : adj[h]) {
         if (label[other] != k) continue;
-        if (m.connected(static_cast<HostId>(h), static_cast<HostId>(other))) {
-          label[other] = next;
-          stack.push_back(other);
-        }
+        label[other] = next;
+        stack.push_back(other);
       }
     }
     ++next;
@@ -351,30 +366,43 @@ std::vector<std::size_t> network_components(const DeploymentModel& m) {
 
 void check_network(Ctx& ctx) {
   if (ctx.k == 0) return;
-  const std::vector<std::size_t> label = network_components(ctx.m);
+  const std::vector<std::size_t> label = network_components(ctx.adj);
   std::size_t partitions = 0;
   for (const std::size_t l : label) partitions = std::max(partitions, l + 1);
+
+  // One host mask per partition, so an interaction's endpoints are counted
+  // per partition in k / 64 word operations, not k allowed() probes.
+  const std::size_t words = (ctx.k + 63) / 64;
+  std::vector<std::uint64_t> part_mask(partitions * words, 0);
+  for (std::size_t h = 0; h < ctx.k; ++h)
+    part_mask[label[h] * words + h / 64] |= std::uint64_t{1} << (h % 64);
+  std::vector<std::pair<ComponentId, ComponentId>> separations(
+      ctx.set.anti_colocation_pairs().begin(),
+      ctx.set.anti_colocation_pairs().end());
+  std::sort(separations.begin(), separations.end());
 
   for (const model::Interaction& ix : ctx.m.interactions()) {
     if (ix.a >= ctx.n || ix.b >= ctx.n) continue;
     // Direct separation constraint between the endpoints?
-    bool separated = false;
-    for (const auto& [a, b] : ctx.set.anti_colocation_pairs())
-      separated |= (a == std::min(ix.a, ix.b) && b == std::max(ix.a, ix.b));
+    const bool separated = std::binary_search(
+        separations.begin(), separations.end(),
+        std::pair{std::min(ix.a, ix.b), std::max(ix.a, ix.b)});
+    const std::span<const std::uint64_t> row_a = ctx.a.allowed_row(ix.a);
+    const std::span<const std::uint64_t> row_b = ctx.a.allowed_row(ix.b);
 
     bool reachable = false;
     for (std::size_t part = 0; part < partitions && !reachable; ++part) {
+      // Legal hosts per endpoint in this partition, and the last of them
+      // (which is the only one when the count is 1).
       std::size_t a_here = 0, b_here = 0, a_host = 0, b_host = 0;
-      for (std::size_t h = 0; h < ctx.k; ++h) {
-        if (label[h] != part) continue;
-        if (ctx.a.allowed(ix.a, h)) {
-          ++a_here;
-          a_host = h;
-        }
-        if (ctx.a.allowed(ix.b, h)) {
-          ++b_here;
-          b_host = h;
-        }
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t in_part = part_mask[part * words + w];
+        const std::uint64_t a_bits = row_a[w] & in_part;
+        const std::uint64_t b_bits = row_b[w] & in_part;
+        a_here += static_cast<std::size_t>(std::popcount(a_bits));
+        b_here += static_cast<std::size_t>(std::popcount(b_bits));
+        if (a_bits != 0) a_host = w * 64 + 63 - std::countl_zero(a_bits);
+        if (b_bits != 0) b_host = w * 64 + 63 - std::countl_zero(b_bits);
       }
       if (a_here == 0 || b_here == 0) continue;
       // With a separation constraint the endpoints need two distinct hosts
@@ -397,13 +425,16 @@ void check_network(Ctx& ctx) {
 void check_regions(Ctx& ctx) {
   // Region constraints only bind models that actually declare regions.
   if (ctx.m.region_count() < 2) return;
+  std::vector<std::size_t> host_region(ctx.k);
+  for (std::size_t h = 0; h < ctx.k; ++h)
+    host_region[h] = ctx.m.host_region(static_cast<HostId>(h));
   for (std::size_t c = 0; c < ctx.n; ++c) {
     if (ctx.a.allowed_count(c) == 0) continue;  // location-unsat owns these
     std::size_t first_region = 0;
     bool seen = false, spread = false;
     for (std::size_t h = 0; h < ctx.k && !spread; ++h) {
       if (!ctx.a.allowed(c, h)) continue;
-      const std::size_t region = ctx.m.host_region(static_cast<HostId>(h));
+      const std::size_t region = host_region[h];
       if (!seen) {
         first_region = region;
         seen = true;
@@ -426,11 +457,7 @@ void check_regions(Ctx& ctx) {
 void check_lints(Ctx& ctx) {
   if (ctx.k > 1) {
     for (std::size_t h = 0; h < ctx.k; ++h) {
-      bool linked = false;
-      for (std::size_t other = 0; other < ctx.k && !linked; ++other)
-        linked = other != h && ctx.m.connected(static_cast<HostId>(h),
-                                               static_cast<HostId>(other));
-      if (!linked)
+      if (ctx.adj[h].empty())
         ctx.report.add({Rule::kIsolatedHost,
                         Severity::kWarning,
                         {ctx.a.host_subject(h)},
@@ -468,15 +495,10 @@ AnalysisContext::AnalysisContext(const DeploymentModel& model,
       n_(model.component_count()),
       k_(model.host_count()),
       words_((k_ + 63) / 64) {
-  // Allow-mask rows: like ConstraintChecker's compiled masks but built
-  // rule-level so the analyzer works on models the checker's constructor
-  // would reject (e.g. zero hosts).
-  rows_.assign(n_ * words_, 0);
-  for (std::size_t c = 0; c < n_; ++c)
-    for (std::size_t h = 0; h < k_; ++h)
-      if (set.host_allowed(static_cast<ComponentId>(c),
-                           static_cast<HostId>(h)))
-        rows_[c * words_ + h / 64] |= std::uint64_t{1} << (h % 64);
+  // The same compiled masks as ConstraintChecker's, built here directly so
+  // the analyzer works on models the checker's constructor would reject
+  // (e.g. zero hosts).
+  rows_ = set.allowed_masks(n_, k_);
 
   // Must-collocate closure, flattened to per-component roots.
   UnionFind uf(n_);
@@ -526,7 +548,9 @@ CheckReport StaticAnalyzer::analyze(const AnalysisContext& context) const {
   CheckReport report;
   Ctx ctx{context,           context.model(), context.constraints(),
           report,            context.components(),
-          context.hosts()};
+          context.hosts(),   {}};
+  if (options_.network_reachability || options_.lints)
+    ctx.adj = ctx.m.host_adjacency();
 
   if (options_.dangling_references) check_dangling(ctx);
   if (options_.parameter_ranges) check_param_ranges(ctx);

@@ -22,12 +22,17 @@
 // of check/audit.h, check/resilience.h, and check/plan_check.h — is
 // documented with defect examples in docs/checking.md.
 //
-// Complexity: O(n·k) per location rule plus O(k^2) for the host-graph BFS —
-// negligible next to any solver run, so the preflight hook (preflight.h)
-// runs it on every algorithm entry.
+// Complexity: the shared context compiles the location rules into allow
+// masks in O(n·k/64 + rules); the rules then cost O(rules + stored links +
+// interactions) in word operations, plus one scan of the dense physical-link
+// triangle for parameter ranges and, when a network rule runs, for the host
+// adjacency. docs/checking.md ("Cost per pass") lists each pass. That is
+// small next to any solver run, so the preflight hook (preflight.h) runs it
+// on every algorithm entry.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,11 +63,11 @@ struct CheckOptions {
 };
 
 /// Shared rule context over one (model, constraint set) pair: the
-/// per-component allowed-host bitmask rows and the must-collocate
-/// union-find closure, built once up front. Building these dominates an
-/// analyze() call, so the spec rules (StaticAnalyzer) and the artifact
-/// auditors (check/audit.h, check/plan_check.h) reuse one build instead of
-/// reconstructing the maps per rule or per pass.
+/// per-component allowed-host bitmask rows (ConstraintSet::allowed_masks,
+/// the masks ConstraintChecker compiles too) and the must-collocate
+/// union-find closure, built once up front. The spec rules (StaticAnalyzer)
+/// and the artifact auditors (check/audit.h, check/plan_check.h) reuse one
+/// build instead of reconstructing the maps per rule or per pass.
 ///
 /// The context borrows the model and constraint set; both must outlive it,
 /// and it must be rebuilt after either mutates.
@@ -85,6 +90,12 @@ class AnalysisContext {
   /// Valid only for c < components() and h < hosts().
   [[nodiscard]] bool allowed(std::size_t c, std::size_t h) const {
     return (rows_[c * words_ + h / 64] >> (h % 64)) & 1u;
+  }
+  /// Component c's allowed-host row: bit h of word h / 64 is allowed(c, h)
+  /// (tail bits beyond hosts() clear).
+  [[nodiscard]] std::span<const std::uint64_t> allowed_row(
+      std::size_t c) const {
+    return {rows_.data() + c * words_, words_};
   }
   /// Number of legal hosts for component c.
   [[nodiscard]] std::size_t allowed_count(std::size_t c) const;

@@ -36,8 +36,18 @@ class ConstraintSet {
   /// Collocation: `a` and `b` must be on different hosts.
   void forbid_colocation(ComponentId a, ComponentId b);
 
-  /// True iff location rules permit `c` on `h`.
+  /// True iff location rules permit `c` on `h`. O(rules): hot loops use
+  /// allowed_masks() instead.
   [[nodiscard]] bool host_allowed(ComponentId c, HostId h) const;
+
+  /// The location rules compiled for a model with `components` components
+  /// and `hosts` hosts: component-major rows of (hosts + 63) / 64 words,
+  /// bit h of row c set iff host_allowed(c, h). Default-allow fill, then the
+  /// allow-lists and forbid rules applied directly — O(n * k / 64 + rules).
+  /// Rules naming ids outside the model are skipped, and the bits past the
+  /// last host are clear, so popcounts over a row count legal hosts.
+  [[nodiscard]] std::vector<std::uint64_t> allowed_masks(
+      std::size_t components, std::size_t hosts) const;
 
   [[nodiscard]] const std::vector<std::pair<ComponentId, ComponentId>>&
   colocation_pairs() const noexcept {
@@ -64,7 +74,6 @@ class ConstraintSet {
   }
 
  private:
-  friend class ConstraintChecker;
   /// component -> explicit allow-list (absent = all hosts allowed)
   std::vector<std::pair<ComponentId, std::vector<HostId>>> allowed_;
   /// (component, host) forbidden pairs
@@ -92,8 +101,8 @@ struct Violation {
 
 /// Compiled, model-bound constraint evaluator used by all algorithms.
 ///
-/// Compilation flattens the ConstraintSet into per-component host bitmasks so
-/// the hot path (`host_allowed`) is O(1). The checker also enforces resource
+/// Compilation flattens the ConstraintSet into per-component host bitmasks
+/// (ConstraintSet::allowed_masks) so the hot path (`host_allowed`) is O(1). The checker also enforces resource
 /// constraints derived from the model: component memory vs host memory, CPU
 /// load vs CPU capacity (only for hosts that model CPU), and, optionally,
 /// interaction traffic vs physical link bandwidth.

@@ -175,6 +175,20 @@ bool DeploymentModel::connected(HostId a, HostId b) const {
   return physical_[phys_index(a, b)].bandwidth > 0.0;
 }
 
+std::vector<std::vector<HostId>> DeploymentModel::host_adjacency() const {
+  const std::size_t k = hosts_.size();
+  std::vector<std::vector<HostId>> adj(k);
+  // Row a appends its upper neighbours b > a to adj[a] and a to adj[b];
+  // rows run ascending, so every list comes out sorted.
+  for (std::size_t a = 0; a < k; ++a)
+    for (std::size_t b = a + 1; b < k; ++b)
+      if (physical_[a * phys_dim_ + b].bandwidth > 0.0) {
+        adj[a].push_back(static_cast<HostId>(b));
+        adj[b].push_back(static_cast<HostId>(a));
+      }
+  return adj;
+}
+
 PhysicalLink& DeploymentModel::phys_ref(HostId a, HostId b) {
   if (a == b)
     throw std::invalid_argument("DeploymentModel: self physical link");
@@ -230,6 +244,17 @@ const LogicalLink& DeploymentModel::logical_link(ComponentId a,
   if (a == b) return no_interaction();
   const auto it = logical_.find(logi_key(a, b));
   return it == logical_.end() ? no_interaction() : it->second;
+}
+
+std::vector<std::pair<ComponentId, ComponentId>>
+DeploymentModel::logical_link_pairs() const {
+  std::vector<std::pair<ComponentId, ComponentId>> pairs;
+  pairs.reserve(logical_.size());
+  for (const auto& [key, link] : logical_)
+    pairs.emplace_back(static_cast<ComponentId>(key >> 32),
+                       static_cast<ComponentId>(key & 0xffffffffu));
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
 }
 
 std::span<const Interaction> DeploymentModel::interactions() const {

@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "model/ids.h"
@@ -183,6 +184,12 @@ class DeploymentModel {
   /// True when a != b and a physical link with bandwidth > 0 exists.
   [[nodiscard]] bool connected(HostId a, HostId b) const;
 
+  /// Neighbours of every host over links with bandwidth > 0 (the
+  /// connected() relation), each list ascending. One pass over the link
+  /// triangle, so graph walks cost O(k + links) after it instead of k^2
+  /// connected() calls.
+  [[nodiscard]] std::vector<std::vector<HostId>> host_adjacency() const;
+
   /// Raw dense-matrix view for hot loops; see PhysicalLinkTable.
   [[nodiscard]] PhysicalLinkTable physical_link_table() const noexcept {
     return {physical_.data(), phys_dim_};
@@ -199,6 +206,12 @@ class DeploymentModel {
   void clear_logical_link(ComponentId a, ComponentId b);
   [[nodiscard]] const LogicalLink& logical_link(ComponentId a,
                                                 ComponentId b) const;
+
+  /// Every stored logical link's canonical pair (a < b), ascending,
+  /// whatever its values: unlike interactions(), links with frequency <= 0
+  /// or NaN parameters are included (the validation view).
+  [[nodiscard]] std::vector<std::pair<ComponentId, ComponentId>>
+  logical_link_pairs() const;
 
   /// All component pairs with frequency > 0. Cached; invalidated on change.
   [[nodiscard]] std::span<const Interaction> interactions() const;

@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/campaign.h"
 #include "check/plan_check.h"
@@ -195,6 +199,243 @@ TEST(Resilience, TriangleTopologyHasNoEmptyHostSpof) {
   const CheckReport report = ResilienceProver().prove(m, d);
   for (const Diagnostic& diag : report.diagnostics())
     EXPECT_NE(diag.witness, (std::vector<std::string>{"h1"}));
+}
+
+// --- k = 1 sweep against a brute-force reference ---------------------------
+
+/// The k = 1 sweep by brute force: for every host, relabel the host graph
+/// without it (k^2 connected() probes) and report what the prover
+/// documents — lost residents, then surviving interactions whose endpoint
+/// hosts end up in different partitions — capped at `cap` diagnostics plus
+/// one suppression summary.
+CheckReport brute_force_k1(const DeploymentModel& m, const Deployment& d,
+                           std::size_t cap) {
+  const std::size_t k = m.host_count();
+  const std::size_t covered = std::min(d.size(), m.component_count());
+  std::vector<HostId> where(covered, model::kNoHost);
+  std::vector<std::vector<std::string>> residents(k);
+  for (std::size_t c = 0; c < covered; ++c) {
+    const auto cid = static_cast<ComponentId>(c);
+    if (!d.is_assigned(cid) || d.host_of(cid) >= k) continue;
+    where[c] = d.host_of(cid);
+    residents[where[c]].push_back(m.component(cid).name);
+  }
+  struct Flow {
+    HostId a, b;
+    std::string name;
+  };
+  std::vector<Flow> flows;
+  for (const model::Interaction& ix : m.interactions()) {
+    if (ix.a >= covered || ix.b >= covered) continue;
+    if (where[ix.a] == model::kNoHost || where[ix.b] == model::kNoHost ||
+        where[ix.a] == where[ix.b])
+      continue;
+    flows.push_back({where[ix.a], where[ix.b],
+                     m.component(ix.a).name + "--" + m.component(ix.b).name});
+  }
+  const auto join = [](const std::vector<std::string>& names) {
+    std::string out;
+    for (std::size_t i = 0; i < names.size() && i < 5; ++i)
+      out += (i > 0 ? ", " : "") + names[i];
+    if (names.size() > 5)
+      out += ", +" + std::to_string(names.size() - 5) + " more";
+    return out;
+  };
+
+  CheckReport report;
+  std::size_t suppressed = 0;
+  for (std::size_t h = 0; h < k; ++h) {
+    std::vector<std::size_t> label(k, k);
+    std::size_t next = 0;
+    for (std::size_t root = 0; root < k; ++root) {
+      if (root == h || label[root] != k) continue;
+      std::vector<std::size_t> stack{root};
+      label[root] = next;
+      while (!stack.empty()) {
+        const std::size_t u = stack.back();
+        stack.pop_back();
+        for (std::size_t v = 0; v < k; ++v)
+          if (v != h && label[v] == k &&
+              m.connected(static_cast<HostId>(u), static_cast<HostId>(v))) {
+            label[v] = next;
+            stack.push_back(v);
+          }
+      }
+      ++next;
+    }
+    std::vector<std::string> severed;
+    for (const Flow& f : flows)
+      if (f.a != h && f.b != h && label[f.a] != label[f.b])
+        severed.push_back(f.name);
+    if (residents[h].empty() && severed.empty()) continue;
+    if (report.diagnostics().size() >= cap) {
+      ++suppressed;
+      continue;
+    }
+    std::string message;
+    if (!residents[h].empty())
+      message = "its failure takes down " +
+                std::to_string(residents[h].size()) +
+                " component(s): " + join(residents[h]);
+    if (!severed.empty())
+      message += (message.empty() ? "" : "; ") +
+                 std::string("it is an articulation point severing ") +
+                 std::to_string(severed.size()) +
+                 " surviving interaction(s): " + join(severed);
+    const std::string name = m.host(static_cast<HostId>(h)).name;
+    report.add({Rule::kResilienceSpof,
+                Severity::kWarning,
+                {"host " + name},
+                message,
+                residents[h].empty()
+                    ? "add a redundant physical path around this host"
+                    : "replicate or re-place the residents off this host",
+                {name}});
+  }
+  if (suppressed > 0)
+    report.add({Rule::kResilienceSpof,
+                Severity::kWarning,
+                {"model"},
+                std::to_string(suppressed) +
+                    " further resilience finding(s) suppressed",
+                "raise ResilienceOptions::max_diagnostics to see them all"});
+  return report;
+}
+
+/// A host graph with the given links, components placed per `placement`
+/// (kNoHost = unassigned) and unit interactions between `pairs`.
+struct SweepCase {
+  DeploymentModel model;
+  Deployment deployment;
+};
+
+SweepCase sweep_case(std::size_t hosts,
+                     const std::vector<std::pair<HostId, HostId>>& links,
+                     const std::vector<HostId>& placement,
+                     const std::vector<std::pair<ComponentId, ComponentId>>&
+                         pairs) {
+  SweepCase out;
+  for (std::size_t h = 0; h < hosts; ++h)
+    out.model.add_host({.name = "h" + std::to_string(h),
+                        .memory_capacity = 100.0,
+                        .properties = {}});
+  for (std::size_t c = 0; c < placement.size(); ++c)
+    out.model.add_component({.name = "c" + std::to_string(c),
+                             .memory_size = 1.0,
+                             .properties = {}});
+  for (const auto& [a, b] : links)
+    out.model.set_physical_link(
+        a, b, {.reliability = 0.9, .bandwidth = 10.0, .properties = {}});
+  for (const auto& [a, b] : pairs)
+    out.model.set_logical_link(
+        a, b, {.frequency = 1.0, .avg_event_size = 1.0, .properties = {}});
+  out.deployment = Deployment(placement);
+  return out;
+}
+
+/// Asserts the prover's k = 1 report equals the brute-force reference.
+void expect_sweep_matches(const SweepCase& sc, std::size_t cap,
+                          const std::string& label) {
+  ResilienceOptions options;
+  options.max_failures = 1;
+  options.regions = false;
+  options.max_diagnostics = cap;
+  const CheckReport got = ResilienceProver(options).prove(sc.model,
+                                                          sc.deployment);
+  const CheckReport want = brute_force_k1(sc.model, sc.deployment, cap);
+  EXPECT_EQ(got.to_json().dump(2), want.to_json().dump(2)) << label;
+}
+
+TEST(ResilienceSweep, TreeMatchesBruteForce) {
+  // Every inner tree node is an articulation point; leaves are not.
+  const std::vector<std::pair<HostId, HostId>> tree = {
+      {0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}, {5, 6}, {5, 7}, {7, 8}};
+  const SweepCase sc = sweep_case(
+      9, tree, {3, 4, 6, 8, 8, 0, model::kNoHost, 2},
+      {{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}, {0, 6}, {5, 7}, {4, 7}});
+  expect_sweep_matches(sc, 64, "tree");
+}
+
+TEST(ResilienceSweep, CycleHasNoArticulationPointAndMatchesBruteForce) {
+  std::vector<std::pair<HostId, HostId>> ring;
+  for (HostId h = 0; h < 8; ++h) ring.emplace_back(h, (h + 1) % 8);
+  const SweepCase sc = sweep_case(8, ring, {0, 2, 4, 6, 1},
+                                  {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}});
+  expect_sweep_matches(sc, 64, "cycle");
+  const CheckReport report = ResilienceProver().prove(sc.model, sc.deployment);
+  for (const Diagnostic& diag : report.diagnostics())
+    EXPECT_EQ(diag.message.find("sever"), std::string::npos) << diag.message;
+}
+
+TEST(ResilienceSweep, DisconnectedGraphWithIsolatedHostsMatchesBruteForce) {
+  // Two islands (a triangle and a path) plus isolated hosts h7 and h8.
+  // Flows between the islands are severed whichever host fails, so every
+  // host reports them, articulation point or not.
+  const SweepCase sc = sweep_case(
+      9, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {5, 6}},
+      {0, 1, 3, 6, 7, 4, 8},
+      {{0, 2}, {1, 3}, {2, 3}, {0, 4}, {5, 6}, {0, 1}, {4, 6}});
+  expect_sweep_matches(sc, 64, "disconnected");
+}
+
+TEST(ResilienceSweep, StarPastTheDiagnosticCapKeepsTheSuppressionCount) {
+  // Eight residents on the leaves, interacting around the rim through the
+  // centre: nine findings (eight leaves plus the centre). With a cap of
+  // three, the rest collapse into a "6 further" summary — with the centre
+  // first (found before the cap fills) and last (found after).
+  for (const bool centre_last : {false, true}) {
+    const HostId centre = centre_last ? 8 : 0;
+    std::vector<std::pair<HostId, HostId>> spokes;
+    std::vector<HostId> placement;
+    std::vector<std::pair<ComponentId, ComponentId>> rim;
+    for (HostId h = 0; h < 9; ++h) {
+      if (h == centre) continue;
+      spokes.emplace_back(centre, h);
+      placement.push_back(h);
+    }
+    for (ComponentId c = 0; c + 1 < placement.size(); ++c)
+      rim.emplace_back(c, c + 1);
+    const SweepCase sc = sweep_case(9, spokes, placement, rim);
+    expect_sweep_matches(sc, 3, centre_last ? "centre last" : "centre first");
+    expect_sweep_matches(sc, 64, "uncapped");
+
+    ResilienceOptions options;
+    options.max_diagnostics = 3;
+    options.regions = false;
+    const CheckReport report =
+        ResilienceProver(options).prove(sc.model, sc.deployment);
+    ASSERT_EQ(report.diagnostics().size(), 4u);
+    EXPECT_EQ(report.diagnostics().back().message,
+              "6 further resilience finding(s) suppressed");
+  }
+}
+
+TEST(ResilienceSweep, RandomGraphsMatchBruteForce) {
+  std::mt19937 rng(42);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t k = 2 + rng() % 14;
+    const std::size_t n = rng() % 18;
+    const double density = (1 + rng() % 6) / 12.0;
+    std::vector<std::pair<HostId, HostId>> links;
+    for (HostId a = 0; a < k; ++a)
+      for (HostId b = a + 1; b < k; ++b)
+        if (std::uniform_real_distribution<double>(0, 1)(rng) < density)
+          links.emplace_back(a, b);
+    std::vector<HostId> placement;
+    for (std::size_t c = 0; c < n; ++c)
+      placement.push_back(rng() % 8 == 0 ? model::kNoHost
+                                         : static_cast<HostId>(rng() % k));
+    std::vector<std::pair<ComponentId, ComponentId>> pairs;
+    for (std::size_t i = 0; n > 1 && i < 2 * n; ++i) {
+      const auto a = static_cast<ComponentId>(rng() % n);
+      const auto b = static_cast<ComponentId>(rng() % n);
+      if (a != b) pairs.emplace_back(a, b);
+    }
+    const SweepCase sc = sweep_case(k, links, placement, pairs);
+    const std::string label = "trial " + std::to_string(trial);
+    expect_sweep_matches(sc, 64, label);
+    expect_sweep_matches(sc, 2, label + " capped");
+  }
 }
 
 // --- resilience-spof (k = 2 min cut) ---------------------------------------

@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "check/preflight.h"
 #include "desi/algorithm_container.h"
@@ -91,6 +96,135 @@ TEST(CheckParamRange, SilentOnBoundaryValues) {
   m.host(0).cpu_capacity = 0.0;  // "not modelled" is legal
   const CheckReport report = run_checks(m, ConstraintSet());
   EXPECT_FALSE(report.has(Rule::kParamRange));
+}
+
+TEST(CheckParamRange, LogicalLinkFindingsComeInCanonicalPairOrder) {
+  // Invalid logical links inserted in scrambled order (the model stores
+  // them in a hash map): the findings must follow canonical (a, b) order,
+  // exactly as an all-pairs scan over logical_link() reports them.
+  const std::size_t n = 30;
+  DeploymentModel m = make_model(2, n);
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+  const double nan = std::nan("");
+  const double bad[] = {-1.0, nan, -0.5, std::numeric_limits<double>::infinity()};
+  for (int i = 0; i < 60; ++i) {
+    const auto a = static_cast<ComponentId>(pick(rng));
+    const auto b = static_cast<ComponentId>(pick(rng));
+    if (a == b) continue;
+    model::LogicalLink link{
+        .frequency = 1.0, .avg_event_size = 1.0, .properties = {}};
+    switch (i % 4) {
+      case 0: link.frequency = bad[i % 3]; break;
+      case 1: link.avg_event_size = bad[(i + 1) % 4]; break;
+      case 2:
+        link = {.frequency = nan, .avg_event_size = -2.0, .properties = {}};
+        break;
+      default: break;  // valid: must stay silent
+    }
+    m.set_logical_link(b, a, link);  // either orientation; stored canonical
+  }
+  m.set_logical_link(
+      3, 4, {.frequency = 0.0, .avg_event_size = 0.0, .properties = {}});
+
+  std::vector<std::string> expected;
+  for (ComponentId a = 0; a < n; ++a)
+    for (ComponentId b = a + 1; b < n; ++b) {
+      const model::LogicalLink& link = m.logical_link(a, b);
+      if (link.frequency == 0.0 && link.avg_event_size == 0.0) continue;
+      const std::string subject = "interaction " + m.component(a).name +
+                                  "--" + m.component(b).name;
+      if (!(link.frequency >= 0.0) || std::isinf(link.frequency))
+        expected.push_back(subject + ": frequency " + fmt(link.frequency));
+      if (!(link.avg_event_size >= 0.0) || std::isinf(link.avg_event_size))
+        expected.push_back(subject + ": event size " +
+                           fmt(link.avg_event_size));
+    }
+  ASSERT_GE(expected.size(), 20u);
+
+  const CheckReport report = run_checks(m, ConstraintSet());
+  std::vector<std::string> got;
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.rule != Rule::kParamRange) continue;
+    ASSERT_EQ(d.subjects.size(), 1u);
+    const std::string tail = " is invalid";
+    ASSERT_GT(d.message.size(), tail.size());
+    got.push_back(d.subjects[0] + ": " +
+                  d.message.substr(0, d.message.size() - tail.size()));
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(CheckFmt, MatchesDefaultStreamFormatting) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {0.0, -0.0, 1.0, -4.0, 0.1, 2.5e-7, 123456.0, 1234567.0, 999999.5,
+        1e300, -1e-300, 5e-324, std::numeric_limits<double>::max(), inf,
+        -inf, std::nan(""), -std::nan("")}) {
+    std::ostringstream os;
+    os << v;
+    EXPECT_EQ(fmt(v), os.str());
+  }
+}
+
+// --- allow masks -----------------------------------------------------------
+
+TEST(AnalysisContext, AllowedMatchesHostAllowedOnRandomRuleSets) {
+  // Allow-lists and forbids overlap, name ids past the model (dangling
+  // rules are skipped, not mis-set), and host counts straddle the 64-bit
+  // word boundary. k = 0 leaves no legal host for anyone.
+  std::mt19937 rng(13);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {9, 0}, {9, 1}, {17, 5}, {24, 63}, {24, 64}, {30, 65}, {12, 130}};
+  for (const auto& [n, k] : shapes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const DeploymentModel m = make_model(k, n);
+      ConstraintSet cs;
+      std::uniform_int_distribution<std::size_t> comp(0, n + 2);
+      std::uniform_int_distribution<std::size_t> host(0, k + 3);
+      std::vector<std::pair<ComponentId, HostId>> listed;
+      for (int rule = 0; rule < 12; ++rule) {
+        const auto c = static_cast<ComponentId>(comp(rng));
+        std::vector<HostId> hosts;
+        for (std::size_t i = 0, len = 1 + rng() % 6; i < len; ++i) {
+          hosts.push_back(static_cast<HostId>(host(rng)));
+          listed.emplace_back(c, hosts.back());
+        }
+        cs.allow_only(c, std::move(hosts));  // repeats replace the list
+      }
+      for (int rule = 0; rule < 20; ++rule) {
+        if (rule % 2 == 0 && !listed.empty()) {
+          const auto& [c, h] = listed[rng() % listed.size()];
+          cs.forbid_host(c, h);  // overlaps an allow-list entry
+        } else {
+          cs.forbid_host(static_cast<ComponentId>(comp(rng)),
+                         static_cast<HostId>(host(rng)));
+        }
+      }
+
+      const AnalysisContext ctx(m, cs);
+      ASSERT_EQ(ctx.components(), n);
+      ASSERT_EQ(ctx.hosts(), k);
+      for (std::size_t c = 0; c < n; ++c) {
+        std::size_t legal = 0;
+        for (std::size_t h = 0; h < k; ++h) {
+          const bool want = cs.host_allowed(static_cast<ComponentId>(c),
+                                            static_cast<HostId>(h));
+          EXPECT_EQ(ctx.allowed(c, h), want)
+              << "n=" << n << " k=" << k << " c=" << c << " h=" << h;
+          legal += want ? 1 : 0;
+        }
+        EXPECT_EQ(ctx.allowed_count(c), legal) << "n=" << n << " k=" << k;
+      }
+      if (k == 0) continue;  // the checker rejects host-less models
+      const model::ConstraintChecker checker(m, cs);
+      for (std::size_t c = 0; c < n; ++c)
+        for (std::size_t h = 0; h < k; ++h)
+          EXPECT_EQ(checker.host_allowed(static_cast<ComponentId>(c),
+                                         static_cast<HostId>(h)),
+                    ctx.allowed(c, h));
+    }
+  }
 }
 
 // --- location-unsat --------------------------------------------------------
@@ -255,6 +389,110 @@ TEST(CheckNetworkPartition, SilentWhenSameIslandOrCollocatable) {
     cs.forbid_colocation(0, 1);  // h0 + h1 are distinct and linked
     EXPECT_FALSE(run_checks(m, cs).has(Rule::kNetworkPartition));
   }
+}
+
+TEST(CheckNetworkPartition, MatchesBruteForceOnRandomIslands) {
+  // Sparse random links leave several islands and isolated hosts; random
+  // allow-lists and separations decide which interactions no connected
+  // host pair can carry. Reference: every (x, y) host pair, partitions by
+  // a k^2 connected() flood fill. The isolated-host lint is checked too.
+  std::mt19937 rng(5);
+  std::size_t flagged = 0, isolated = 0;
+  for (const std::size_t k : {5u, 40u, 70u, 130u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::size_t n = 24;
+      DeploymentModel m;
+      for (std::size_t h = 0; h < k; ++h)
+        m.add_host({.name = "h" + std::to_string(h),
+                    .memory_capacity = 100.0,
+                    .properties = {}});
+      for (std::size_t c = 0; c < n; ++c)
+        m.add_component({.name = "c" + std::to_string(c),
+                         .memory_size = 1.0,
+                         .properties = {}});
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto a = static_cast<HostId>(rng() % k);
+        const auto b = static_cast<HostId>(rng() % k);
+        if (a != b)
+          m.set_physical_link(
+              a, b, {.reliability = 0.9, .bandwidth = 10.0, .properties = {}});
+      }
+      for (std::size_t i = 0; i < 3 * n; ++i) {
+        const auto a = static_cast<ComponentId>(rng() % n);
+        const auto b = static_cast<ComponentId>(rng() % n);
+        if (a != b)
+          m.set_logical_link(
+              a, b,
+              {.frequency = 1.0, .avg_event_size = 1.0, .properties = {}});
+      }
+      ConstraintSet cs;
+      for (ComponentId c = 0; c < n; ++c) {
+        if (rng() % 3 == 0) continue;
+        std::vector<HostId> hosts;
+        for (std::size_t i = 0, len = 1 + rng() % 3; i < len; ++i)
+          hosts.push_back(static_cast<HostId>(rng() % k));
+        cs.allow_only(c, std::move(hosts));
+      }
+      for (int i = 0; i < 12; ++i) {
+        const auto a = static_cast<ComponentId>(rng() % n);
+        const auto b = static_cast<ComponentId>(rng() % n);
+        if (a != b) cs.forbid_colocation(a, b);
+      }
+
+      std::vector<std::size_t> island(k, k);
+      for (std::size_t root = 0, next = 0; root < k; ++root) {
+        if (island[root] != k) continue;
+        std::vector<std::size_t> stack{root};
+        island[root] = next;
+        while (!stack.empty()) {
+          const std::size_t u = stack.back();
+          stack.pop_back();
+          for (std::size_t v = 0; v < k; ++v)
+            if (island[v] == k && m.connected(static_cast<HostId>(u),
+                                              static_cast<HostId>(v))) {
+              island[v] = next;
+              stack.push_back(v);
+            }
+        }
+        ++next;
+      }
+      std::vector<std::string> want_partition;
+      for (const model::Interaction& ix : m.interactions()) {
+        bool separated = false;
+        for (const auto& [a, b] : cs.anti_colocation_pairs())
+          separated |= a == ix.a && b == ix.b;
+        bool carried = false;
+        for (HostId x = 0; x < k && !carried; ++x)
+          for (HostId y = 0; y < k && !carried; ++y)
+            carried = cs.host_allowed(ix.a, x) && cs.host_allowed(ix.b, y) &&
+                      island[x] == island[y] && !(separated && x == y);
+        if (!carried)
+          want_partition.push_back("component " + m.component(ix.a).name +
+                                   "|component " + m.component(ix.b).name);
+      }
+      std::vector<std::string> want_isolated;
+      for (HostId h = 0; h < k; ++h) {
+        bool linked = false;
+        for (HostId o = 0; o < k; ++o) linked |= m.connected(h, o);
+        if (!linked) want_isolated.push_back("host " + m.host(h).name);
+      }
+
+      const CheckReport report = run_checks(m, cs);
+      std::vector<std::string> got_partition, got_isolated;
+      for (const Diagnostic& d : report.diagnostics()) {
+        if (d.rule == Rule::kNetworkPartition)
+          got_partition.push_back(d.subjects.at(0) + "|" + d.subjects.at(1));
+        if (d.rule == Rule::kIsolatedHost)
+          got_isolated.push_back(d.subjects.at(0));
+      }
+      EXPECT_EQ(got_partition, want_partition) << "k=" << k;
+      EXPECT_EQ(got_isolated, want_isolated) << "k=" << k;
+      flagged += want_partition.size();
+      isolated += want_isolated.size();
+    }
+  }
+  EXPECT_GT(flagged, 0u);
+  EXPECT_GT(isolated, 0u);
 }
 
 // --- lints -----------------------------------------------------------------

@@ -1,7 +1,8 @@
 # CTest script: cross-commit report golden.
 #
 # Regenerates the reports of the four determinism commands pinned in
-# scripts/ci.sh and compares their SHA-256 digests with GOLDEN
+# scripts/ci.sh, plus the check layer's two reports over a generated fleet
+# model, and compares their SHA-256 digests with GOLDEN
 # (tests/golden/difctl_reports.sha256, `sha256sum` format). ci.sh only
 # `cmp`s two runs of the same build; this pins behaviour across commits, so
 # a change that must keep every report byte-identical is checked here.
@@ -10,12 +11,35 @@
 #
 # Exit 3 (the run finished, but some round aborted or an SLO was breached)
 # is an expected outcome for these scenarios; only 1/2 are failures.
+#
+# @OUT@ stands for the report path; a command without it prints its report
+# to stdout. @FLEET@ stands for the generated fleet model.
 
-set(report_campaign_mixed.json campaign --seeds 0..7 --scenario mixed)
-set(report_heal.json heal --seeds 0,2)
+cmake_policy(SET CMP0057 NEW)  # if(IN_LIST)
+
+set(report_campaign_mixed.json
+    campaign --seeds 0..7 --scenario mixed --json @OUT@)
+set(report_heal.json heal --seeds 0,2 --json @OUT@)
 set(report_traffic.json
-    traffic --hosts 6 --components 18 --seed 7 --duration-ms 30000)
-set(report_fuzz.json fuzz --seed 0 --rounds 5)
+    traffic --hosts 6 --components 18 --seed 7 --duration-ms 30000
+    --json @OUT@)
+set(report_fuzz.json fuzz --seed 0 --rounds 5 --json @OUT@)
+# The check layer at fleet scale: spec rules, then placement audit plus the
+# k=1 resilience sweep (its diagnostic cap and suppression summary
+# included), over a 300-host, 600-component model with regions and
+# constraints.
+set(report_check_fleet.json check @FLEET@ --json)
+set(report_audit_fleet.json audit @FLEET@ --json)
+set(expected_reports 6)
+
+set(fleet ${WORKDIR}/golden_fleet_system.json)
+execute_process(
+  COMMAND ${DIFCTL} generate --hosts 300 --components 600 --seed 5
+          --constraints 40 --regions 4
+  RESULT_VARIABLE code OUTPUT_FILE ${fleet} ERROR_QUIET)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "difctl generate failed (exit ${code})")
+endif()
 
 file(STRINGS ${GOLDEN} lines)
 set(checked 0)
@@ -31,10 +55,18 @@ foreach(line IN LISTS lines)
   endif()
   set(out ${WORKDIR}/golden_${name})
   file(REMOVE ${out})
-  execute_process(COMMAND ${DIFCTL} ${report_${name}} --json ${out}
-                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  set(args ${report_${name}})
+  if("@OUT@" IN_LIST args)
+    list(TRANSFORM args REPLACE "^@OUT@$" "${out}")
+    set(stdout ${out}.stdout)
+  else()
+    set(stdout ${out})
+  endif()
+  list(TRANSFORM args REPLACE "^@FLEET@$" "${fleet}")
+  execute_process(COMMAND ${DIFCTL} ${args}
+                  RESULT_VARIABLE code OUTPUT_FILE ${stdout} ERROR_QUIET)
   if(NOT (code EQUAL 0 OR code EQUAL 3) OR NOT EXISTS ${out})
-    message(FATAL_ERROR "difctl ${report_${name}} failed (exit ${code})")
+    message(FATAL_ERROR "difctl ${args} failed (exit ${code})")
   endif()
   file(SHA256 ${out} got)
   if(NOT got STREQUAL want)
@@ -43,8 +75,9 @@ foreach(line IN LISTS lines)
   math(EXPR checked "${checked} + 1")
 endforeach()
 
-if(NOT checked EQUAL 4)
-  message(FATAL_ERROR "expected 4 golden reports, found ${checked}")
+if(NOT checked EQUAL expected_reports)
+  message(FATAL_ERROR
+          "expected ${expected_reports} golden reports, found ${checked}")
 endif()
 if(mismatched)
   string(REPLACE ";" "\n  " mismatched "${mismatched}")
