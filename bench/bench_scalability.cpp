@@ -14,6 +14,12 @@
 //    fluctuation, a warm hillclimb re-optimizes only the dirty neighbourhood
 //    and must spend measurably fewer evaluations than a cold rerun.
 //
+// A model-build row (model_build.*) first generates a 4096-host model and
+// reports its physical-link storage and the process's peak RSS right after
+// the build: the link columns hold one entry per host pair, so the model
+// stays within a few hundred MB at a size where a dense square of link
+// records would not.
+//
 // Emits a dif-bench-v1 JSON report; BENCH_scalability.json is the committed
 // baseline and ci.sh gates the pinned metrics at -10%.
 //
@@ -40,6 +46,27 @@ std::unique_ptr<desi::SystemData> make_system(const SizePoint& size,
       std::min(1.0, 8.0 / static_cast<double>(size.components));
   spec.link_density = std::min(1.0, 8.0 / static_cast<double>(size.hosts));
   return desi::Generator::generate(spec, seed);
+}
+
+/// Builds a 4096-host model (the sweep's constant-degree topology, a few
+/// components) and records its link storage and the peak RSS so far; run
+/// before the sweep, so the peak is the build's.
+void bench_model_build(std::uint64_t seed, util::json::Object& metrics) {
+  constexpr std::size_t kHosts = 4'096;
+  const auto system = make_system({kHosts, 16}, seed);
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  const std::size_t bytes = system->model().link_storage_bytes();
+  metrics["model_build.hosts"] =
+      scalar_metric(static_cast<double>(kHosts), "hosts");
+  metrics["model_build.link_storage_bytes"] =
+      scalar_metric(static_cast<double>(bytes), "bytes");
+  metrics["model_build.peak_rss_kb"] =
+      scalar_metric(static_cast<double>(usage.ru_maxrss), "KB");
+  std::printf("model build at %zu hosts: link storage %.1f MiB, peak RSS "
+              "%.1f MiB\n",
+              kHosts, static_cast<double>(bytes) / (1024.0 * 1024.0),
+              static_cast<double>(usage.ru_maxrss) / 1024.0);
 }
 
 /// SoA evaluator throughput: a deterministic stream of single-component
@@ -108,6 +135,9 @@ void run(int argc, char** argv) {
                                                "decap"};
 
   util::json::Object metrics;
+  std::fprintf(stderr, "[model build: 4096 hosts]\n");
+  bench_model_build(args.seed, metrics);
+
   util::Table table({"hosts", "comps", "algorithm", "time", "evals",
                      "availability", "note"});
   const SizePoint largest = args.sizes.empty() ? SizePoint{16, 192}
@@ -189,7 +219,7 @@ void run(int argc, char** argv) {
     const model::HostId fluctuated = 0;
     const auto links = m.physical_link_table();
     for (std::size_t h = 1; h < m.host_count(); ++h) {
-      const model::PhysicalLink& link =
+      const model::PhysicalLink link =
           links.at(fluctuated, static_cast<model::HostId>(h));
       if (link.reliability > 0.0)
         m.set_link_reliability(fluctuated, static_cast<model::HostId>(h),

@@ -32,20 +32,21 @@ int main() {
 
   // Links carry an extensible "security" property (0 = open wifi,
   // 3 = VPN, 5 = dedicated encrypted line).
-  model::PhysicalLink dc_office{.reliability = 0.97, .bandwidth = 900,
-                                .delay_ms = 4};
-  dc_office.properties.set("security", 5.0);
-  m.set_physical_link(dc, office, dc_office);
-
-  model::PhysicalLink office_field{.reliability = 0.80, .bandwidth = 200,
-                                   .delay_ms = 25};
-  office_field.properties.set("security", 3.0);
-  m.set_physical_link(office, field, office_field);
-
-  model::PhysicalLink dc_field{.reliability = 0.85, .bandwidth = 300,
-                               .delay_ms = 30};
-  dc_field.properties.set("security", 0.0);  // open uplink: fast but exposed
-  m.set_physical_link(dc, field, dc_field);
+  const auto secured = [](double level) {
+    model::PropertyMap properties;
+    properties.set("security", level);
+    return properties;
+  };
+  m.set_physical_link(dc, office,
+                      {.reliability = 0.97, .bandwidth = 900, .delay_ms = 4},
+                      secured(5.0));
+  m.set_physical_link(office, field,
+                      {.reliability = 0.80, .bandwidth = 200, .delay_ms = 25},
+                      secured(3.0));
+  // Open uplink: fast but exposed.
+  m.set_physical_link(dc, field,
+                      {.reliability = 0.85, .bandwidth = 300, .delay_ms = 30},
+                      secured(0.0));
 
   // Components; the vault and auditor handle classified data.
   const model::ComponentId vault =

@@ -132,7 +132,7 @@ AlgoResult AvalaAlgorithm::run(const model::DeploymentModel& model,
   for (std::size_t a = 0; a < k; ++a) {
     for (std::size_t b = 0; b < k; ++b) {
       if (a == b) continue;
-      const model::PhysicalLink& link = model.physical_link(
+      const model::PhysicalLink link = model.physical_link(
           static_cast<model::HostId>(a), static_cast<model::HostId>(b));
       host_conn[a] += link.reliability + link.bandwidth / max_bw;
     }

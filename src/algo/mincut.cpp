@@ -121,7 +121,7 @@ AlgoResult MinCutPartitioner::run(const model::DeploymentModel& model,
   const std::size_t sink = n + 1;    // represents host 1
   Dinic dinic(n + 2);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const model::PhysicalLink& link = model.physical_link(0, 1);
+  const model::PhysicalLink link = model.physical_link(0, 1);
 
   // Edge capacity = communication time incurred per second if the pair is
   // split across the link (Coign's minimization criterion).

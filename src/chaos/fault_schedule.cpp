@@ -33,15 +33,12 @@ void draw_scenario_actions(const ScenarioSpec& spec,
                            model::HostId master_host, util::Xoshiro256ss& rng,
                            OverlapLedger& ledger,
                            std::vector<FaultAction>& out) {
-  std::vector<std::pair<model::HostId, model::HostId>> links;
+  std::vector<std::pair<model::HostId, model::HostId>> links =
+      m.physical_link_pairs();
+  std::erase_if(links, [&](const auto& pair) {
+    return !m.connected(pair.first, pair.second);
+  });
   const std::size_t k = m.host_count();
-  for (std::size_t a = 0; a < k; ++a)
-    for (std::size_t b = a + 1; b < k; ++b)
-      if (m.physical_link(static_cast<model::HostId>(a),
-                          static_cast<model::HostId>(b))
-              .bandwidth > 0.0)
-        links.emplace_back(static_cast<model::HostId>(a),
-                           static_cast<model::HostId>(b));
 
   std::vector<model::HostId> crashable;
   for (std::size_t h = 0; h < k; ++h)

@@ -208,7 +208,7 @@ CheckReport PlacementAuditor::audit(const AnalysisContext& ctx,
                     "add a physical link or collocate the endpoints"});
         continue;
       }
-      const model::PhysicalLink& link = m.physical_link(ha, hb);
+      const model::PhysicalLink link = m.physical_link(ha, hb);
       if (load > link.bandwidth)
         report.add({Rule::kPlacementBandwidth,
                     Severity::kWarning,

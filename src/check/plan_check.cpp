@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "model/constraints.h"
@@ -168,25 +170,29 @@ CheckReport check_plan(const model::DeploymentModel& m,
                        const model::Deployment& current,
                        const std::vector<PlanTask>& plan,
                        const AuditOptions& audit_options) {
-  const std::size_t n = m.component_count();
   const std::size_t k = m.host_count();
-
-  PlanContext ctx;
-  ctx.host_count = k;
-  ctx.host_names.reserve(k);
-  for (std::size_t h = 0; h < k; ++h) {
-    ctx.host_names.push_back(m.host(static_cast<HostId>(h)).name);
-    ctx.host_capacity_kb[static_cast<HostId>(h)] =
-        m.host(static_cast<HostId>(h)).memory_capacity;
-  }
-  for (std::size_t c = 0; c < std::min(current.size(), n); ++c) {
+  const std::size_t covered = std::min(current.size(), m.component_count());
+  const auto placed = [&](std::size_t c) {
     const auto cid = static_cast<ComponentId>(c);
-    const std::string& name = m.component(cid).name;
-    ctx.component_memory_kb[name] = m.component(cid).memory_size;
-    if (!current.is_assigned(cid) || current.host_of(cid) >= k) continue;
-    ctx.locations[name] = current.host_of(cid);
-    ctx.host_used_memory_kb[current.host_of(cid)] += m.component(cid).memory_size;
+    return current.is_assigned(cid) && current.host_of(cid) < k;
+  };
+
+  // Resolve each name the plan uses once, in one pass over the components
+  // the current placement covers; the rest are unknown.
+  std::unordered_map<std::string_view, ComponentId> resolved;
+  for (const PlanTask& task : plan)
+    resolved.emplace(task.component, model::kNoComponent);
+  std::size_t unresolved = resolved.size();
+  for (std::size_t c = 0; c < covered && unresolved > 0; ++c) {
+    const auto it =
+        resolved.find(m.component(static_cast<ComponentId>(c)).name);
+    if (it == resolved.end()) continue;
+    it->second = static_cast<ComponentId>(c);
+    --unresolved;
   }
+  const auto id_of = [&](const PlanTask& task) {
+    return resolved.find(task.component)->second;
+  };
 
   // Unknown component names are model defects, and their tasks are not
   // applied to the post-plan placement.
@@ -194,7 +200,7 @@ CheckReport check_plan(const model::DeploymentModel& m,
   std::vector<PlanTask> known;
   known.reserve(plan.size());
   for (const PlanTask& task : plan) {
-    if (ctx.component_memory_kb.count(task.component) == 0) {
+    if (id_of(task) == model::kNoComponent) {
       report.add({Rule::kDanglingReference,
                   Severity::kError,
                   {"component " + task.component},
@@ -205,21 +211,54 @@ CheckReport check_plan(const model::DeploymentModel& m,
     known.push_back(task);
   }
 
+  // The belief state, for what the known tasks touch only: their
+  // components' locations and footprints, their destinations' capacity and
+  // used memory (summed in component order). Hosts that receive nothing
+  // fire no capacity check, so leaving them out changes no finding.
+  PlanContext ctx;
+  ctx.host_count = k;
+  ctx.host_names.reserve(k);
+  for (std::size_t h = 0; h < k; ++h)
+    ctx.host_names.push_back(m.host(static_cast<HostId>(h)).name);
+  std::vector<bool> destination(k, false);
+  for (const PlanTask& task : known) {
+    const ComponentId cid = id_of(task);
+    ctx.component_memory_kb[task.component] = m.component(cid).memory_size;
+    if (placed(cid)) ctx.locations[task.component] = current.host_of(cid);
+    if (task.to < k && !destination[task.to]) {
+      destination[task.to] = true;
+      ctx.host_capacity_kb[task.to] = m.host(task.to).memory_capacity;
+    }
+  }
+  for (std::size_t c = 0; c < covered; ++c) {
+    if (!placed(c)) continue;
+    const HostId h = current.host_of(static_cast<ComponentId>(c));
+    if (destination[h])
+      ctx.host_used_memory_kb[h] +=
+          m.component(static_cast<ComponentId>(c)).memory_size;
+  }
+  // The custody check runs when any location is believed. When none of the
+  // plan's components is placed, one placed bystander (which no task names)
+  // keeps it on, as the full fleet's locations would.
+  if (ctx.locations.empty())
+    for (std::size_t c = 0; c < covered; ++c)
+      if (placed(c)) {
+        const auto cid = static_cast<ComponentId>(c);
+        ctx.locations[m.component(cid).name] = current.host_of(cid);
+        break;
+      }
+
   report.append(MigrationPlanChecker().check(known, ctx));
 
   // Post-plan placement validity: apply the admitted tasks to a copy and
   // run the placement auditor over the result.
   model::Deployment post = current;
-  std::set<std::string> applied;
-  std::map<std::string, ComponentId> by_name;
-  for (std::size_t c = 0; c < n; ++c)
-    by_name.emplace(m.component(static_cast<ComponentId>(c)).name,
-                    static_cast<ComponentId>(c));
+  std::vector<bool> applied(covered, false);
   for (const PlanTask& task : known) {
-    if (task.to >= k || !applied.insert(task.component).second) continue;
-    const auto it = by_name.find(task.component);
-    if (it != by_name.end() && it->second < post.size())
-      post.assign(it->second, task.to);
+    const ComponentId cid = id_of(task);
+    if (task.to >= k || applied[cid]) continue;
+    applied[cid] = true;
+    post.assign(cid, task.to);
   }
   report.append(PlacementAuditor(audit_options).audit(m, set, post),
                 "post-plan: ");

@@ -1,6 +1,7 @@
 #include "check/resilience.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -156,39 +157,53 @@ std::vector<std::size_t> surviving_labels(
 /// capacity-1 internal edge; each physical link contributes two directed
 /// unbounded edges out(a)→in(b), out(b)→in(a). The cut members are the
 /// hosts whose internal edge is saturated across the final residual
-/// reachability frontier.
+/// reachability frontier. The split graph is built once; each query undoes
+/// its augmentations afterwards, so every query starts from the initial
+/// capacities with the same edge order (and so finds the same paths) as a
+/// freshly built graph would.
 class VertexCut {
  public:
   explicit VertexCut(const std::vector<std::vector<HostId>>& adj)
-      : adj_(adj) {}
+      : adj_(adj), graph_(2 * adj.size()) {
+    const std::size_t k = adj_.size();
+    for (std::size_t i = 0; i < k; ++i)
+      add_edge(in(i), out(i), 1);
+    for (std::size_t a = 0; a < k; ++a)
+      for (const HostId b : adj_[a]) add_edge(out(a), in(b), kUnbounded);
+    parent_.resize(graph_.size());
+    seen_.assign(graph_.size(), 0);
+  }
 
   /// The minimum host set (excluding the endpoints) whose removal
   /// disconnects s from t, when its size is ≤ limit; nullopt when the cut
   /// is larger (or infinite: a direct s—t link exists).
   [[nodiscard]] std::optional<std::vector<HostId>> cut(HostId s, HostId t,
                                                        std::size_t limit) {
-    const std::size_t k = adj_.size();
-    graph_.assign(2 * k, {});
-    for (std::size_t i = 0; i < k; ++i)
-      add_edge(in(i), out(i), 1);
-    for (std::size_t a = 0; a < k; ++a)
-      for (const HostId b : adj_[a]) {
-        if (a == s && b == t) return std::nullopt;  // uncuttable direct link
-        add_edge(out(a), in(b), kUnbounded);
-      }
+    if (std::binary_search(adj_[s].begin(), adj_[s].end(), t))
+      return std::nullopt;  // uncuttable direct link
+    // Each common neighbour is its own two-hop path, disjoint from the
+    // others: limit + 1 of them already prove the cut is too large, which
+    // is what limit + 1 augmentations would conclude.
+    if (common_neighbours(s, t, limit + 1) > limit) return std::nullopt;
 
     std::size_t flow = 0;
     while (flow <= limit && augment(out(s), in(t))) ++flow;
-    if (flow > limit) return std::nullopt;
-
-    const std::vector<bool> reach = residual_reachable(out(s));
-    std::vector<HostId> members;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (i == s || i == t) continue;
-      if (reach[static_cast<std::size_t>(in(i))] &&
-          !reach[static_cast<std::size_t>(out(i))])
-        members.push_back(static_cast<HostId>(i));
+    std::optional<std::vector<HostId>> members;
+    if (flow <= limit) {
+      mark_residual_reachable(out(s));
+      members.emplace();
+      for (std::size_t i = 0; i < adj_.size(); ++i) {
+        if (i == s || i == t) continue;
+        if (seen_[static_cast<std::size_t>(in(i))] == stamp_ &&
+            seen_[static_cast<std::size_t>(out(i))] != stamp_)
+          members->push_back(static_cast<HostId>(i));
+      }
     }
+    for (const auto& [u, e] : touched_) {
+      Edge& edge = graph_[static_cast<std::size_t>(u)][e];
+      edge.cap = edge.initial;
+    }
+    touched_.clear();
     return members;
   }
 
@@ -199,6 +214,7 @@ class VertexCut {
     int to;
     int cap;
     int rev;
+    int initial;
   };
 
   static int in(std::size_t host) { return static_cast<int>(2 * host); }
@@ -206,73 +222,111 @@ class VertexCut {
 
   void add_edge(int u, int v, int cap) {
     graph_[static_cast<std::size_t>(u)].push_back(
-        {v, cap, static_cast<int>(graph_[static_cast<std::size_t>(v)].size())});
+        {v, cap, static_cast<int>(graph_[static_cast<std::size_t>(v)].size()),
+         cap});
     graph_[static_cast<std::size_t>(v)].push_back(
         {u, 0,
-         static_cast<int>(graph_[static_cast<std::size_t>(u)].size()) - 1});
+         static_cast<int>(graph_[static_cast<std::size_t>(u)].size()) - 1, 0});
   }
 
-  /// One BFS augmentation; returns false when t is unreachable.
-  bool augment(int s, int t) {
-    const std::size_t nodes = graph_.size();
-    std::vector<std::pair<int, int>> parent(nodes, {-1, -1});  // node, edge
-    std::vector<bool> seen(nodes, false);
-    std::vector<int> queue{s};
-    seen[static_cast<std::size_t>(s)] = true;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const int u = queue[head];
-      if (u == t) break;
-      const auto& edges = graph_[static_cast<std::size_t>(u)];
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        if (edges[e].cap <= 0 || seen[static_cast<std::size_t>(edges[e].to)])
-          continue;
-        seen[static_cast<std::size_t>(edges[e].to)] = true;
-        parent[static_cast<std::size_t>(edges[e].to)] = {u,
-                                                         static_cast<int>(e)};
-        queue.push_back(edges[e].to);
+  /// Size of adj[s] ∩ adj[t], counting no further than `enough`.
+  [[nodiscard]] std::size_t common_neighbours(HostId s, HostId t,
+                                              std::size_t enough) const {
+    std::size_t common = 0;
+    auto x = adj_[s].begin(), y = adj_[t].begin();
+    while (x != adj_[s].end() && y != adj_[t].end() && common < enough) {
+      if (*x < *y) {
+        ++x;
+      } else if (*y < *x) {
+        ++y;
+      } else {
+        ++common;
+        ++x;
+        ++y;
       }
     }
-    if (!seen[static_cast<std::size_t>(t)]) return false;
+    return common;
+  }
+
+  /// Starts a fresh visit: seen_[node] == stamp_ marks visited nodes.
+  void next_visit() {
+    if (++stamp_ == 0) {  // wrapped: clear the stale marks once
+      std::fill(seen_.begin(), seen_.end(), 0);
+      stamp_ = 1;
+    }
+  }
+
+  /// One BFS augmentation; returns false when t is unreachable. The search
+  /// stops when t is discovered: its parent chain is fixed from then on.
+  bool augment(int s, int t) {
+    next_visit();
+    queue_.assign(1, s);
+    seen_[static_cast<std::size_t>(s)] = stamp_;
+    bool found = false;
+    for (std::size_t head = 0; head < queue_.size() && !found; ++head) {
+      const int u = queue_[head];
+      const auto& edges = graph_[static_cast<std::size_t>(u)];
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        const auto to = static_cast<std::size_t>(edges[e].to);
+        if (edges[e].cap <= 0 || seen_[to] == stamp_) continue;
+        seen_[to] = stamp_;
+        parent_[to] = {u, e};
+        if (edges[e].to == t) {
+          found = true;
+          break;
+        }
+        queue_.push_back(edges[e].to);
+      }
+    }
+    if (!found) return false;
 
     int bottleneck = kUnbounded;
     for (int v = t; v != s;) {
-      const auto [u, e] = parent[static_cast<std::size_t>(v)];
-      bottleneck = std::min(
-          bottleneck,
-          graph_[static_cast<std::size_t>(u)][static_cast<std::size_t>(e)].cap);
+      const auto [u, e] = parent_[static_cast<std::size_t>(v)];
+      bottleneck =
+          std::min(bottleneck, graph_[static_cast<std::size_t>(u)][e].cap);
       v = u;
     }
     for (int v = t; v != s;) {
-      const auto [u, e] = parent[static_cast<std::size_t>(v)];
-      Edge& fwd =
-          graph_[static_cast<std::size_t>(u)][static_cast<std::size_t>(e)];
+      const auto [u, e] = parent_[static_cast<std::size_t>(v)];
+      Edge& fwd = graph_[static_cast<std::size_t>(u)][e];
       fwd.cap -= bottleneck;
-      graph_[static_cast<std::size_t>(fwd.to)][static_cast<std::size_t>(
-                                                   fwd.rev)]
-          .cap += bottleneck;
+      graph_[static_cast<std::size_t>(fwd.to)]
+            [static_cast<std::size_t>(fwd.rev)]
+                .cap += bottleneck;
+      touched_.emplace_back(u, e);
+      touched_.emplace_back(fwd.to, static_cast<std::size_t>(fwd.rev));
       v = u;
     }
     return true;
   }
 
-  [[nodiscard]] std::vector<bool> residual_reachable(int s) const {
-    std::vector<bool> seen(graph_.size(), false);
-    std::vector<int> stack{s};
-    seen[static_cast<std::size_t>(s)] = true;
-    while (!stack.empty()) {
-      const int u = stack.back();
-      stack.pop_back();
+  /// Marks (seen_ == stamp_) every node reachable from s in the residual
+  /// graph.
+  void mark_residual_reachable(int s) {
+    next_visit();
+    queue_.assign(1, s);
+    seen_[static_cast<std::size_t>(s)] = stamp_;
+    while (!queue_.empty()) {
+      const int u = queue_.back();
+      queue_.pop_back();
       for (const Edge& e : graph_[static_cast<std::size_t>(u)]) {
-        if (e.cap <= 0 || seen[static_cast<std::size_t>(e.to)]) continue;
-        seen[static_cast<std::size_t>(e.to)] = true;
-        stack.push_back(e.to);
+        const auto to = static_cast<std::size_t>(e.to);
+        if (e.cap <= 0 || seen_[to] == stamp_) continue;
+        seen_[to] = stamp_;
+        queue_.push_back(e.to);
       }
     }
-    return seen;
   }
 
   const std::vector<std::vector<HostId>>& adj_;
   std::vector<std::vector<Edge>> graph_;
+  /// Per-query scratch, reused across queries.
+  std::vector<std::pair<int, std::size_t>> parent_;  // node, edge index
+  std::vector<std::pair<int, std::size_t>> touched_;
+  std::vector<std::uint32_t> seen_;
+  std::uint32_t stamp_ = 0;
+  std::vector<int> queue_;
 };
 
 }  // namespace
@@ -388,12 +442,26 @@ CheckReport ResilienceProver::prove(const DeploymentModel& m,
   // k ≥ 2: a minimum vertex cut per remote interaction, grouped by cut set.
   if (options_.max_failures >= 2) {
     VertexCut cutter(adj);
+    // Flows between the same ordered host pair share one cut. A cut's
+    // members may depend on the orientation (the frontier nearest the
+    // source), but whether a cut of two or more hosts exists does not, so
+    // the reverse pair's "none" answers this one too.
+    std::map<std::pair<HostId, HostId>, std::optional<std::vector<HostId>>>
+        cuts;
+    const auto has_cut = [](const std::optional<std::vector<HostId>>& c) {
+      return c && c->size() >= 2;  // size-1 cuts are the sweep's findings
+    };
     std::map<std::vector<HostId>, std::vector<std::string>> by_cut;
     for (const Flow& f : flows) {
-      const auto members = cutter.cut(f.a, f.b, options_.max_failures);
-      // Size-1 cuts are the sweep's articulation findings.
-      if (!members || members->size() < 2) continue;
-      by_cut[*members].push_back(flow_name(f));
+      auto it = cuts.find({f.a, f.b});
+      if (it == cuts.end()) {
+        const auto reverse = cuts.find({f.b, f.a});
+        if (reverse != cuts.end() && !has_cut(reverse->second)) continue;
+        it = cuts.emplace(std::pair(f.a, f.b),
+                          cutter.cut(f.a, f.b, options_.max_failures))
+                 .first;
+      }
+      if (has_cut(it->second)) by_cut[*it->second].push_back(flow_name(f));
     }
     for (const auto& [members, names] : by_cut) {
       std::vector<std::string> witness;

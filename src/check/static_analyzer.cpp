@@ -142,36 +142,30 @@ void check_param_ranges(Ctx& ctx) {
                  " is not a finite non-negative number",
              "set a non-negative CPU load");
   }
-  // The raw link triangle: physical_link() canonicalizes stored links with
-  // bandwidth <= 0 and reliability <= 0 to the all-zero absent link, which
-  // the test below skips either way.
+  // Every stored link, in canonical pair order (absent links, stored
+  // all-zero, are not listed; NaN ones are).
   const model::PhysicalLinkTable links = ctx.m.physical_link_table();
-  for (std::size_t a = 0; a < ctx.k; ++a) {
-    for (std::size_t b = a + 1; b < ctx.k; ++b) {
-      const model::PhysicalLink& link =
-          links.at(static_cast<HostId>(a), static_cast<HostId>(b));
-      if (link.bandwidth <= 0.0 && link.reliability <= 0.0 &&
-          !std::isnan(link.reliability) && !std::isnan(link.bandwidth))
-        continue;  // absent link
-      const std::string subject = "link " +
-                                  ctx.m.host(static_cast<HostId>(a)).name +
-                                  "--" +
-                                  ctx.m.host(static_cast<HostId>(b)).name;
-      if (bad_unit(link.reliability))
-        report(subject,
-               "reliability " + fmt(link.reliability) + " is outside [0, 1]",
-               "clamp the reliability into [0, 1]");
-      if (bad_nonneg(link.bandwidth))
-        report(subject,
-               "bandwidth " + fmt(link.bandwidth) +
-                   " is not a finite non-negative number",
-               "set a non-negative bandwidth in KB/s");
-      if (bad_nonneg(link.delay_ms))
-        report(subject,
-               "delay " + fmt(link.delay_ms) +
-                   " is not a finite non-negative number",
-               "set a non-negative delay in ms");
-    }
+  for (const auto& [a, b] : ctx.m.physical_link_pairs()) {
+    const model::PhysicalLink link = links.at(a, b);
+    if (!bad_unit(link.reliability) && !bad_nonneg(link.bandwidth) &&
+        !bad_nonneg(link.delay_ms))
+      continue;
+    const std::string subject =
+        "link " + ctx.m.host(a).name + "--" + ctx.m.host(b).name;
+    if (bad_unit(link.reliability))
+      report(subject,
+             "reliability " + fmt(link.reliability) + " is outside [0, 1]",
+             "clamp the reliability into [0, 1]");
+    if (bad_nonneg(link.bandwidth))
+      report(subject,
+             "bandwidth " + fmt(link.bandwidth) +
+                 " is not a finite non-negative number",
+             "set a non-negative bandwidth in KB/s");
+    if (bad_nonneg(link.delay_ms))
+      report(subject,
+             "delay " + fmt(link.delay_ms) +
+                 " is not a finite non-negative number",
+             "set a non-negative delay in ms");
   }
   // Walk the stored logical links, not interactions(): the interaction
   // cache filters on frequency > 0, which would hide negative/NaN entries.

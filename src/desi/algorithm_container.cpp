@@ -65,7 +65,7 @@ double AlgorithmContainer::estimate_redeploy_ms(
        model::Deployment::diff(system_.deployment(), result.deployment)) {
     const double size_kb = m.component(move.component).memory_size;
     if (m.connected(move.from, move.to)) {
-      const model::PhysicalLink& link = m.physical_link(move.from, move.to);
+      const model::PhysicalLink link = m.physical_link(move.from, move.to);
       total += link.delay_ms + 1000.0 * size_kb / link.bandwidth;
     } else {
       // Mediated two-hop transfer through the deployer; estimate with the

@@ -29,6 +29,7 @@ std::unique_ptr<SystemData> Generator::generate(const GeneratorSpec& spec,
   model::DeploymentModel& m = system.model();
 
   // --- hosts -----------------------------------------------------------------
+  m.reserve_hosts(spec.hosts);
   for (std::size_t h = 0; h < spec.hosts; ++h) {
     m.add_host({.name = "host" + std::to_string(h),
                 .memory_capacity = sample(rng, spec.host_memory),
@@ -53,8 +54,7 @@ std::unique_ptr<SystemData> Generator::generate(const GeneratorSpec& spec,
     m.set_physical_link(a, b,
                         {.reliability = sample(rng, spec.reliability),
                          .bandwidth = sample(rng, spec.bandwidth),
-                         .delay_ms = sample(rng, spec.delay_ms),
-                         .properties = {}});
+                         .delay_ms = sample(rng, spec.delay_ms)});
   };
   std::vector<model::HostId> order(spec.hosts);
   std::iota(order.begin(), order.end(), 0u);

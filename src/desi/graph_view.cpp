@@ -19,16 +19,12 @@ std::string GraphView::render_ascii(const SystemData& system) {
     }
   }
   out += "physical links:\n";
-  for (std::size_t a = 0; a < m.host_count(); ++a) {
-    for (std::size_t b = a + 1; b < m.host_count(); ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      if (!m.connected(ha, hb)) continue;
-      const model::PhysicalLink& link = m.physical_link(ha, hb);
-      out += "  " + m.host(ha).name + " === " + m.host(hb).name + "  (rel " +
-             util::fmt(link.reliability, 2) + ", bw " +
-             util::fmt(link.bandwidth, 0) + " KB/s)\n";
-    }
+  for (const auto& [ha, hb] : m.physical_link_pairs()) {
+    if (!m.connected(ha, hb)) continue;
+    const model::PhysicalLink link = m.physical_link(ha, hb);
+    out += "  " + m.host(ha).name + " === " + m.host(hb).name + "  (rel " +
+           util::fmt(link.reliability, 2) + ", bw " +
+           util::fmt(link.bandwidth, 0) + " KB/s)\n";
   }
   out += "logical links:\n";
   for (const model::Interaction& ix : m.interactions()) {

@@ -82,16 +82,10 @@ std::vector<std::string> Modifier::drain_host(model::HostId host) {
 
 void Modifier::scale_all_reliabilities(double factor) {
   model::DeploymentModel& m = system_.model();
-  const std::size_t k = m.host_count();
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      if (!m.connected(ha, hb)) continue;
-      const double current = m.physical_link(ha, hb).reliability;
-      m.set_link_reliability(ha, hb,
-                             std::clamp(current * factor, 0.0, 1.0));
-    }
+  for (const auto& [ha, hb] : m.physical_link_pairs()) {
+    if (!m.connected(ha, hb)) continue;
+    const double current = m.physical_link(ha, hb).reliability;
+    m.set_link_reliability(ha, hb, std::clamp(current * factor, 0.0, 1.0));
   }
 }
 

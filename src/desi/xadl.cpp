@@ -35,21 +35,16 @@ json::Value XadlLite::to_json(const SystemData& system) {
   doc.emplace("components", std::move(components));
 
   json::Array links;
-  for (std::size_t a = 0; a < m.host_count(); ++a) {
-    for (std::size_t b = a + 1; b < m.host_count(); ++b) {
-      const auto ha = static_cast<model::HostId>(a);
-      const auto hb = static_cast<model::HostId>(b);
-      const model::PhysicalLink& link = m.physical_link(ha, hb);
-      if (link.bandwidth <= 0.0 && link.reliability <= 0.0) continue;
-      json::Object entry;
-      entry.emplace("a", m.host(ha).name);
-      entry.emplace("b", m.host(hb).name);
-      entry.emplace("reliability", link.reliability);
-      entry.emplace("bandwidth", link.bandwidth);
-      entry.emplace("delay_ms", link.delay_ms);
-      entry.emplace("properties", link.properties.to_json());
-      links.emplace_back(std::move(entry));
-    }
+  for (const auto& [ha, hb] : m.physical_link_pairs()) {
+    const model::PhysicalLink link = m.physical_link(ha, hb);
+    json::Object entry;
+    entry.emplace("a", m.host(ha).name);
+    entry.emplace("b", m.host(hb).name);
+    entry.emplace("reliability", link.reliability);
+    entry.emplace("bandwidth", link.bandwidth);
+    entry.emplace("delay_ms", link.delay_ms);
+    entry.emplace("properties", m.link_properties(ha, hb).to_json());
+    links.emplace_back(std::move(entry));
   }
   doc.emplace("physical_links", std::move(links));
 
@@ -126,7 +121,9 @@ std::unique_ptr<SystemData> XadlLite::from_json(const json::Value& doc) {
   auto system = std::make_unique<SystemData>();
   model::DeploymentModel& m = system->model();
 
-  for (const json::Value& entry : doc.at("hosts").as_array()) {
+  const json::Array& hosts = doc.at("hosts").as_array();
+  m.reserve_hosts(hosts.size());
+  for (const json::Value& entry : hosts) {
     model::Host host;
     host.name = entry.at("name").as_string();
     host.memory_capacity = entry.number_or("memory", 0.0);
@@ -149,11 +146,12 @@ std::unique_ptr<SystemData> XadlLite::from_json(const json::Value& doc) {
     link.reliability = entry.number_or("reliability", 0.0);
     link.bandwidth = entry.number_or("bandwidth", 0.0);
     link.delay_ms = entry.number_or("delay_ms", 0.0);
+    model::PropertyMap properties;
     if (const auto props = entry.find("properties"))
-      link.properties = model::PropertyMap::from_json(props->get());
+      properties = model::PropertyMap::from_json(props->get());
     m.set_physical_link(m.host_by_name(entry.at("a").as_string()),
-                        m.host_by_name(entry.at("b").as_string()),
-                        std::move(link));
+                        m.host_by_name(entry.at("b").as_string()), link,
+                        std::move(properties));
   }
   for (const json::Value& entry : doc.at("logical_links").as_array()) {
     model::LogicalLink link;

@@ -258,7 +258,7 @@ void ConstraintChecker::collect(const Deployment& d,
       for (std::size_t b = a + 1; b < k; ++b) {
         const double load = traffic[a * k + b];
         if (load <= 0.0) continue;
-        const PhysicalLink& link = model_.physical_link(
+        const PhysicalLink link = model_.physical_link(
             static_cast<HostId>(a), static_cast<HostId>(b));
         if (load > link.bandwidth) {
           report(Violation::Kind::kBandwidth,

@@ -10,18 +10,14 @@ namespace dif::model {
 
 namespace {
 
-const PhysicalLink& local_link() {
-  static const PhysicalLink link{
-      .reliability = 1.0,
-      .bandwidth = std::numeric_limits<double>::infinity(),
-      .delay_ms = 0.0,
-      .properties = {}};
-  return link;
-}
+constexpr PhysicalLink kLocalLink{
+    .reliability = 1.0,
+    .bandwidth = std::numeric_limits<double>::infinity(),
+    .delay_ms = 0.0};
 
-const PhysicalLink& disconnected_link() {
-  static const PhysicalLink link{};
-  return link;
+const PropertyMap& no_properties() {
+  static const PropertyMap properties;
+  return properties;
 }
 
 const LogicalLink& no_interaction() {
@@ -40,23 +36,23 @@ HostId DeploymentModel::add_host(Host host) {
                                   host.name + "'");
   const auto id = static_cast<HostId>(hosts_.size());
   hosts_.push_back(std::move(host));
-  if (hosts_.size() > phys_dim_) {
-    // Geometric regrowth keeps one-host-at-a-time construction amortized
-    // O(k^2) over the whole build instead of O(k^3).
-    const std::size_t new_dim = std::max<std::size_t>(hosts_.size(),
-                                                      phys_dim_ * 2);
-    std::vector<PhysicalLink> grown(new_dim * new_dim);
-    for (std::size_t i = 0; i < phys_dim_; ++i)
-      for (std::size_t j = i + 1; j < phys_dim_; ++j)
-        grown[i * new_dim + j] = std::move(physical_[i * phys_dim_ + j]);
-    physical_ = std::move(grown);
-    phys_dim_ = new_dim;
-  }
-  DIF_ASSERT(physical_.size() == phys_dim_ * phys_dim_ &&
-                 phys_dim_ >= hosts_.size(),
-             "link matrix must cover the host count");
+  // Appending host `id` appends its column: one zero entry per earlier
+  // host. resize() grows capacity geometrically, so a one-by-one build
+  // stays amortized O(k^2) in total.
+  const std::size_t pairs = hosts_.size() * (hosts_.size() - 1) / 2;
+  link_reliability_.resize(pairs, 0.0);
+  link_bandwidth_.resize(pairs, 0.0);
+  link_delay_ms_.resize(pairs, 0.0);
   notify({.event = ModelEvent::kTopologyChanged, .host_a = id});
   return id;
+}
+
+void DeploymentModel::reserve_hosts(std::size_t hosts) {
+  hosts_.reserve(hosts);
+  const std::size_t pairs = hosts < 2 ? 0 : hosts * (hosts - 1) / 2;
+  link_reliability_.reserve(pairs);
+  link_bandwidth_.reserve(pairs);
+  link_delay_ms_.reserve(pairs);
 }
 
 ComponentId DeploymentModel::add_component(SoftwareComponent component) {
@@ -129,88 +125,132 @@ void DeploymentModel::check_component(ComponentId id) const {
     throw std::out_of_range("DeploymentModel: bad component id");
 }
 
-std::size_t DeploymentModel::phys_index(HostId a, HostId b) const {
+std::size_t DeploymentModel::link_index(HostId a, HostId b) const {
   check_host(a);
   check_host(b);
-  const auto [lo, hi] = std::minmax(a, b);
-  const std::size_t index = static_cast<std::size_t>(lo) * phys_dim_ + hi;
-  DIF_ASSERT(index < physical_.size(),
-             "canonical host pair must index into the physical matrix");
+  const std::size_t index = PhysicalLinkTable::index(a, b);
+  DIF_ASSERT(a == b || index < link_bandwidth_.size(),
+             "canonical host pair must index into the link columns");
   return index;
 }
 
-std::uint64_t DeploymentModel::logi_key(ComponentId a, ComponentId b) {
+std::size_t DeploymentModel::settable_link_index(HostId a, HostId b) const {
+  if (a == b)
+    throw std::invalid_argument("DeploymentModel: self physical link");
+  return link_index(a, b);
+}
+
+std::uint64_t DeploymentModel::pair_key(std::uint32_t a, std::uint32_t b) {
   const auto [lo, hi] = std::minmax(a, b);
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-void DeploymentModel::set_physical_link(HostId a, HostId b,
-                                        PhysicalLink link) {
-  if (a == b)
-    throw std::invalid_argument("DeploymentModel: self physical link");
-  physical_[phys_index(a, b)] = std::move(link);
+void DeploymentModel::set_physical_link(HostId a, HostId b, PhysicalLink link,
+                                        PropertyMap properties) {
+  const std::size_t i = settable_link_index(a, b);
+  link_reliability_[i] = link.reliability;
+  link_bandwidth_[i] = link.bandwidth;
+  link_delay_ms_[i] = link.delay_ms;
+  if (properties.empty())
+    link_properties_.erase(pair_key(a, b));
+  else
+    link_properties_[pair_key(a, b)] = std::move(properties);
   notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
           .host_b = b});
 }
 
 void DeploymentModel::clear_physical_link(HostId a, HostId b) {
   if (a == b) return;
-  physical_[phys_index(a, b)] = PhysicalLink{};
+  const std::size_t i = link_index(a, b);
+  link_reliability_[i] = 0.0;
+  link_bandwidth_[i] = 0.0;
+  link_delay_ms_[i] = 0.0;
+  link_properties_.erase(pair_key(a, b));
   notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
           .host_b = b});
 }
 
-const PhysicalLink& DeploymentModel::physical_link(HostId a, HostId b) const {
-  check_host(a);
-  check_host(b);
-  if (a == b) return local_link();
-  const PhysicalLink& link = physical_[phys_index(a, b)];
-  if (link.bandwidth <= 0.0 && link.reliability <= 0.0)
-    return disconnected_link();
+PhysicalLink DeploymentModel::physical_link(HostId a, HostId b) const {
+  const std::size_t i = link_index(a, b);
+  if (a == b) return kLocalLink;
+  const PhysicalLink link{link_reliability_[i], link_bandwidth_[i],
+                          link_delay_ms_[i]};
+  if (link.bandwidth <= 0.0 && link.reliability <= 0.0) return {};
   return link;
+}
+
+const PropertyMap& DeploymentModel::link_properties(HostId a, HostId b) const {
+  const std::size_t i = link_index(a, b);
+  if (a == b || link_properties_.empty()) return no_properties();
+  // Same canonicalization as physical_link(): a pair read as disconnected
+  // carries no parameters.
+  if (link_bandwidth_[i] <= 0.0 && link_reliability_[i] <= 0.0)
+    return no_properties();
+  const auto it = link_properties_.find(pair_key(a, b));
+  return it == link_properties_.end() ? no_properties() : it->second;
 }
 
 bool DeploymentModel::connected(HostId a, HostId b) const {
   if (a == b) return false;
-  return physical_[phys_index(a, b)].bandwidth > 0.0;
+  return link_bandwidth_[link_index(a, b)] > 0.0;
+}
+
+std::vector<std::pair<HostId, HostId>> DeploymentModel::physical_link_pairs()
+    const {
+  // Memory order is column-major (hi, then lo); stored links are sparse,
+  // so collecting them and sorting into canonical (lo, hi) order is cheaper
+  // than a strided row walk.
+  std::vector<std::pair<HostId, HostId>> pairs;
+  const std::size_t k = hosts_.size();
+  for (std::size_t hi = 1, base = 0; hi < k; base += hi, ++hi)
+    for (std::size_t lo = 0; lo < hi; ++lo)
+      if (!(link_bandwidth_[base + lo] <= 0.0 &&
+            link_reliability_[base + lo] <= 0.0))
+        pairs.emplace_back(static_cast<HostId>(lo), static_cast<HostId>(hi));
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
 }
 
 std::vector<std::vector<HostId>> DeploymentModel::host_adjacency() const {
   const std::size_t k = hosts_.size();
   std::vector<std::vector<HostId>> adj(k);
-  // Row a appends its upper neighbours b > a to adj[a] and a to adj[b];
-  // rows run ascending, so every list comes out sorted.
-  for (std::size_t a = 0; a < k; ++a)
-    for (std::size_t b = a + 1; b < k; ++b)
-      if (physical_[a * phys_dim_ + b].bandwidth > 0.0) {
-        adj[a].push_back(static_cast<HostId>(b));
-        adj[b].push_back(static_cast<HostId>(a));
+  // Column hi appends its lower neighbours lo < hi to adj[hi] and hi to
+  // adj[lo]; columns run ascending, so every list comes out sorted.
+  for (std::size_t hi = 1, base = 0; hi < k; base += hi, ++hi)
+    for (std::size_t lo = 0; lo < hi; ++lo)
+      if (link_bandwidth_[base + lo] > 0.0) {
+        adj[hi].push_back(static_cast<HostId>(lo));
+        adj[lo].push_back(static_cast<HostId>(hi));
       }
   return adj;
 }
 
-PhysicalLink& DeploymentModel::phys_ref(HostId a, HostId b) {
-  if (a == b)
-    throw std::invalid_argument("DeploymentModel: self physical link");
-  return physical_[phys_index(a, b)];
+std::size_t DeploymentModel::link_storage_bytes() const noexcept {
+  // One red-black tree node: colour, parent, left and right, then the value.
+  constexpr std::size_t kNodeBytes =
+      4 * sizeof(void*) + sizeof(std::pair<const std::uint64_t, PropertyMap>);
+  return (link_reliability_.capacity() + link_bandwidth_.capacity() +
+          link_delay_ms_.capacity()) *
+             sizeof(double) +
+         link_properties_.size() * kNodeBytes;
 }
 
 void DeploymentModel::set_link_reliability(HostId a, HostId b,
                                            double reliability) {
-  phys_ref(a, b).reliability = reliability;
+  link_reliability_[settable_link_index(a, b)] = reliability;
   notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
           .host_b = b});
 }
 
 void DeploymentModel::set_link_bandwidth(HostId a, HostId b,
                                          double bandwidth) {
-  phys_ref(a, b).bandwidth = bandwidth;
+  link_bandwidth_[settable_link_index(a, b)] = bandwidth;
   notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
           .host_b = b});
 }
 
 void DeploymentModel::set_link_delay(HostId a, HostId b, double delay_ms) {
-  phys_ref(a, b).delay_ms = delay_ms;
+  link_delay_ms_[settable_link_index(a, b)] = delay_ms;
   notify({.event = ModelEvent::kPhysicalLinkChanged, .host_a = a,
           .host_b = b});
 }
@@ -221,7 +261,7 @@ void DeploymentModel::set_logical_link(ComponentId a, ComponentId b,
     throw std::invalid_argument("DeploymentModel: self logical link");
   check_component(a);
   check_component(b);
-  logical_[logi_key(a, b)] = std::move(link);
+  logical_[pair_key(a, b)] = std::move(link);
   interactions_dirty_ = true;
   notify({.event = ModelEvent::kLogicalLinkChanged, .component_a = a,
           .component_b = b});
@@ -231,7 +271,7 @@ void DeploymentModel::clear_logical_link(ComponentId a, ComponentId b) {
   if (a == b) return;
   check_component(a);
   check_component(b);
-  logical_.erase(logi_key(a, b));
+  logical_.erase(pair_key(a, b));
   interactions_dirty_ = true;
   notify({.event = ModelEvent::kLogicalLinkChanged, .component_a = a,
           .component_b = b});
@@ -242,7 +282,7 @@ const LogicalLink& DeploymentModel::logical_link(ComponentId a,
   check_component(a);
   check_component(b);
   if (a == b) return no_interaction();
-  const auto it = logical_.find(logi_key(a, b));
+  const auto it = logical_.find(pair_key(a, b));
   return it == logical_.end() ? no_interaction() : it->second;
 }
 
@@ -330,17 +370,30 @@ void DeploymentModel::validate() const {
       throw std::invalid_argument(
           "DeploymentModel: negative component requirement (" + c.name + ")");
   }
+  // Walk the columns in memory order, keeping the canonically first
+  // (lowest (a, b)) bad link: it decides the message, as a row-order walk
+  // stopping at the first bad link would.
+  const auto bad_reliability = [](double r) { return r < 0.0 || r > 1.0; };
   const std::size_t k = hosts_.size();
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      const PhysicalLink& link = physical_[a * phys_dim_ + b];
-      if (link.reliability < 0.0 || link.reliability > 1.0)
-        throw std::invalid_argument(
-            "DeploymentModel: link reliability outside [0,1]");
-      if (link.bandwidth < 0.0 || link.delay_ms < 0.0)
-        throw std::invalid_argument(
-            "DeploymentModel: negative link bandwidth/delay");
+  std::pair<std::size_t, std::size_t> first_bad{k, k};
+  std::size_t first_bad_index = 0;
+  for (std::size_t hi = 1, base = 0; hi < k; base += hi, ++hi)
+    for (std::size_t lo = 0; lo < hi; ++lo) {
+      const std::size_t i = base + lo;
+      if (!bad_reliability(link_reliability_[i]) &&
+          !(link_bandwidth_[i] < 0.0 || link_delay_ms_[i] < 0.0))
+        continue;
+      if (std::pair(lo, hi) < first_bad) {
+        first_bad = {lo, hi};
+        first_bad_index = i;
+      }
     }
+  if (first_bad.first < k) {
+    if (bad_reliability(link_reliability_[first_bad_index]))
+      throw std::invalid_argument(
+          "DeploymentModel: link reliability outside [0,1]");
+    throw std::invalid_argument(
+        "DeploymentModel: negative link bandwidth/delay");
   }
   for (const auto& [key, link] : logical_) {
     if (link.frequency < 0.0 || link.avg_event_size < 0.0)

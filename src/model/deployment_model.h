@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -43,7 +44,10 @@ struct SoftwareComponent {
   PropertyMap properties;
 };
 
-/// A physical network link between two hosts. Absent link == disconnected.
+/// The first-class parameters of a physical network link between two hosts.
+/// Absent link == disconnected (all zero). A link's extensible parameters
+/// (security level, monetary cost, ...) live in the model's sparse property
+/// side table; see DeploymentModel::link_properties.
 struct PhysicalLink {
   /// Probability that the link is up / a message survives it, in [0, 1].
   double reliability = 0.0;
@@ -51,8 +55,6 @@ struct PhysicalLink {
   double bandwidth = 0.0;
   /// One-way transmission delay (ms).
   double delay_ms = 0.0;
-  /// Extensible parameters (security level, monetary cost, ...).
-  PropertyMap properties;
 };
 
 /// A logical interaction between two components.
@@ -97,20 +99,30 @@ struct ModelChange {
   ComponentId component_b = kNoComponent;
 };
 
-/// Read-only view of the dense physical-link matrix for hot loops (the
-/// incremental evaluator's per-move term updates). `at(a, b)` matches
-/// physical_link(a, b) for a != b without the range checks or the
-/// disconnected-link canonicalization (absent links are stored all-zero, so
-/// reliability/bandwidth/delay read the same either way). Invalidated by
-/// add_host; callers hold it only across a model-stable hot section.
+/// Read-only view of the packed physical-link columns for hot loops (the
+/// incremental evaluator's per-move term updates, the check layer's link
+/// walks). Host pair (lo, hi), lo < hi, sits at index(lo, hi) =
+/// hi * (hi - 1) / 2 + lo of each column, so column hi's entries follow
+/// column hi - 1's in memory. `at(a, b)` matches physical_link(a, b) for
+/// a != b without the range checks or the disconnected-link
+/// canonicalization (absent links are stored all-zero, so reliability,
+/// bandwidth and delay read the same either way); a == b is out of its
+/// domain. Invalidated by add_host; callers hold it only across a
+/// model-stable hot section.
 struct PhysicalLinkTable {
-  const PhysicalLink* data = nullptr;
-  std::size_t dim = 0;  // row stride (matrix capacity, >= host count)
+  const double* reliability = nullptr;
+  const double* bandwidth = nullptr;
+  const double* delay_ms = nullptr;
 
-  [[nodiscard]] const PhysicalLink& at(HostId a, HostId b) const {
-    const auto lo = a < b ? a : b;
-    const auto hi = a < b ? b : a;
-    return data[static_cast<std::size_t>(lo) * dim + hi];
+  [[nodiscard]] static std::size_t index(HostId a, HostId b) noexcept {
+    const std::size_t lo = a < b ? a : b;
+    const std::size_t hi = a < b ? b : a;
+    return hi * (hi - 1) / 2 + lo;
+  }
+
+  [[nodiscard]] PhysicalLink at(HostId a, HostId b) const noexcept {
+    const std::size_t i = index(a, b);
+    return {reliability[i], bandwidth[i], delay_ms[i]};
   }
 };
 
@@ -120,8 +132,9 @@ struct PhysicalLinkTable {
 ///  * physical and logical links are symmetric (stored canonically, a <= b);
 ///  * self links are rejected (a local interaction needs no link; a host
 ///    is always perfectly connected to itself);
-///  * the physical matrix is kept sized to the current host count (with
-///    geometric spare capacity); logical links are stored sparsely.
+///  * the physical-link columns hold exactly one entry per host pair
+///    (k * (k - 1) / 2 for k hosts); link properties and logical links are
+///    stored sparsely.
 ///
 /// Not thread-safe; the framework owns it from a single (simulated) thread.
 class DeploymentModel {
@@ -131,6 +144,9 @@ class DeploymentModel {
   // --- topology -----------------------------------------------------------
 
   HostId add_host(Host host);
+  /// Reserves room for `hosts` hosts and their link columns, so a build
+  /// that knows its host count allocates the columns once, exactly sized.
+  void reserve_hosts(std::size_t hosts);
   ComponentId add_component(SoftwareComponent component);
 
   [[nodiscard]] std::size_t host_count() const noexcept {
@@ -171,29 +187,49 @@ class DeploymentModel {
 
   // --- physical links -----------------------------------------------------
 
-  /// Sets the (symmetric) link between two distinct hosts.
-  void set_physical_link(HostId a, HostId b, PhysicalLink link);
-  /// Removes the link (hosts become disconnected).
+  /// Sets the (symmetric) link between two distinct hosts, replacing its
+  /// extensible parameters with `properties`.
+  void set_physical_link(HostId a, HostId b, PhysicalLink link,
+                         PropertyMap properties = {});
+  /// Removes the link and its properties (hosts become disconnected).
   void clear_physical_link(HostId a, HostId b);
 
   /// Link parameters between two hosts. For a == b returns the implicit
   /// perfect local link (reliability 1, infinite bandwidth, zero delay).
   /// For unconnected pairs returns the all-zero disconnected link.
-  [[nodiscard]] const PhysicalLink& physical_link(HostId a, HostId b) const;
+  [[nodiscard]] PhysicalLink physical_link(HostId a, HostId b) const;
+
+  /// Extensible parameters of the link between two hosts. Empty for a == b,
+  /// for pairs without properties, and for pairs physical_link() reads as
+  /// disconnected (whatever properties they keep for a later reconnect).
+  [[nodiscard]] const PropertyMap& link_properties(HostId a, HostId b) const;
 
   /// True when a != b and a physical link with bandwidth > 0 exists.
   [[nodiscard]] bool connected(HostId a, HostId b) const;
 
+  /// Every stored physical link's canonical pair (a < b), ascending: the
+  /// pairs physical_link() does not read as disconnected, whatever their
+  /// values (NaN or out-of-range links included; the validation view).
+  /// One pass over the reliability and bandwidth columns.
+  [[nodiscard]] std::vector<std::pair<HostId, HostId>> physical_link_pairs()
+      const;
+
   /// Neighbours of every host over links with bandwidth > 0 (the
-  /// connected() relation), each list ascending. One pass over the link
-  /// triangle, so graph walks cost O(k + links) after it instead of k^2
-  /// connected() calls.
+  /// connected() relation), each list ascending. One pass over the
+  /// bandwidth column, so graph walks cost O(k + links) after it instead of
+  /// k^2 connected() calls.
   [[nodiscard]] std::vector<std::vector<HostId>> host_adjacency() const;
 
-  /// Raw dense-matrix view for hot loops; see PhysicalLinkTable.
+  /// Packed-column view for hot loops; see PhysicalLinkTable.
   [[nodiscard]] PhysicalLinkTable physical_link_table() const noexcept {
-    return {physical_.data(), phys_dim_};
+    return {link_reliability_.data(), link_bandwidth_.data(),
+            link_delay_ms_.data()};
   }
+
+  /// Bytes held by physical-link storage: the three columns' capacity plus
+  /// one tree node per property-table entry (the property names and values
+  /// inside each map are not counted).
+  [[nodiscard]] std::size_t link_storage_bytes() const noexcept;
 
   /// Mutates a single field of an existing link (monitor update path).
   void set_link_reliability(HostId a, HostId b, double reliability);
@@ -252,20 +288,28 @@ class DeploymentModel {
   void validate() const;
 
  private:
-  [[nodiscard]] std::size_t phys_index(HostId a, HostId b) const;
-  [[nodiscard]] static std::uint64_t logi_key(ComponentId a, ComponentId b);
+  [[nodiscard]] std::size_t link_index(HostId a, HostId b) const;
+  [[nodiscard]] static std::uint64_t pair_key(std::uint32_t a,
+                                              std::uint32_t b);
   void check_host(HostId id) const;
   void check_component(ComponentId id) const;
   void notify(const ModelChange& change);
-  PhysicalLink& phys_ref(HostId a, HostId b);
+  /// link_index() for a settable pair: throws on a == b.
+  [[nodiscard]] std::size_t settable_link_index(HostId a, HostId b) const;
 
   std::vector<Host> hosts_;
   std::vector<SoftwareComponent> components_;
-  /// Dense canonical-pair (a < b) storage, row-major with stride phys_dim_.
-  /// The capacity dimension grows geometrically so that adding k hosts one
-  /// by one costs amortized O(k^2) total, not O(k^3).
-  std::vector<PhysicalLink> physical_;
-  std::size_t phys_dim_ = 0;
+  /// Packed lower-triangular link columns, indexed by
+  /// PhysicalLinkTable::index. add_host appends the new host's column (one
+  /// zero entry per earlier host), so building k hosts one by one costs
+  /// amortized O(k^2) in total with no regrowth copy of a square.
+  std::vector<double> link_reliability_;
+  std::vector<double> link_bandwidth_;
+  std::vector<double> link_delay_ms_;
+  /// Sparse link properties keyed by canonical pair (lo << 32 | hi), so
+  /// iteration runs in canonical pair order; pairs without properties have
+  /// no entry.
+  std::map<std::uint64_t, PropertyMap> link_properties_;
   /// Sparse logical links keyed by canonical pair (lo << 32 | hi). Dense
   /// n-by-n storage was quadratic in components — multiple GB at the 10k+
   /// component fleet sizes bench_scalability sweeps — while real interaction

@@ -40,7 +40,7 @@ double PairwiseDecomposition::pair_term(const Interaction& ix, HostId ha,
     case Kind::kLatency: {
       if (unassigned) return ix.frequency * penalty_ms_;
       if (ha == hb) return 0.0;
-      const PhysicalLink& link = model_->physical_link(ha, hb);
+      const PhysicalLink link = model_->physical_link(ha, hb);
       if (link.bandwidth <= 0.0) return ix.frequency * penalty_ms_;
       return ix.frequency *
              (link.delay_ms + 1000.0 * ix.avg_event_size / link.bandwidth);
@@ -146,7 +146,7 @@ double IncrementalEvaluator::term_of(std::uint32_t index, HostId ha,
   } else if constexpr (kKind == PairwiseDecomposition::Kind::kLatency) {
     if (unassigned) return ix_freq_[index] * decomposition_.penalty_ms_;
     if (ha == hb) return 0.0;
-    const PhysicalLink& link = links_.at(ha, hb);
+    const PhysicalLink link = links_.at(ha, hb);
     if (link.bandwidth <= 0.0)
       return ix_freq_[index] * decomposition_.penalty_ms_;
     return ix_freq_[index] *

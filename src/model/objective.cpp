@@ -42,7 +42,7 @@ double LatencyObjective::evaluate(const DeploymentModel& model,
       continue;
     }
     if (ha == hb) continue;
-    const PhysicalLink& link = model.physical_link(ha, hb);
+    const PhysicalLink link = model.physical_link(ha, hb);
     if (link.bandwidth <= 0.0) {
       latency += ix.frequency * penalty_ms_;
     } else {
@@ -87,8 +87,7 @@ double SecurityObjective::evaluate(const DeploymentModel& model,
     if (ha == kNoHost || hb == kNoHost) continue;
     const double provided =
         ha == hb ? std::numeric_limits<double>::infinity()
-                 : model.physical_link(ha, hb).properties.get_or("security",
-                                                                 0.0);
+                 : model.link_properties(ha, hb).get_or("security", 0.0);
     if (provided >= required) satisfied += ix.frequency;
   }
   return total > 0.0 ? satisfied / total : 1.0;

@@ -170,9 +170,10 @@ TEST(CentralizedAnalyzer, LatencyGuardDirectVeto) {
                            .delay_ms = 1.0};
   model::PhysicalLink slow{.reliability = 0.9, .bandwidth = 0.05,
                            .delay_ms = 500.0};
-  slow.properties.set("security", 5.0);
+  model::PropertyMap secure;
+  secure.set("security", 5.0);
   m.set_physical_link(0, 1, fast);
-  m.set_physical_link(0, 2, slow);
+  m.set_physical_link(0, 2, slow, secure);
   m.set_physical_link(1, 2, fast);
   model::LogicalLink interaction{.frequency = 5.0, .avg_event_size = 2.0};
   interaction.properties.set("required_security", 3.0);

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -325,7 +327,7 @@ SweepCase sweep_case(std::size_t hosts,
                              .properties = {}});
   for (const auto& [a, b] : links)
     out.model.set_physical_link(
-        a, b, {.reliability = 0.9, .bandwidth = 10.0, .properties = {}});
+        a, b, {.reliability = 0.9, .bandwidth = 10.0});
   for (const auto& [a, b] : pairs)
     out.model.set_logical_link(
         a, b, {.frequency = 1.0, .avg_event_size = 1.0, .properties = {}});
@@ -563,6 +565,104 @@ TEST(PlanCheck, FreeFunctionAuditsThePostPlanPlacement) {
   const Diagnostic* diag = find_rule(report, Rule::kPlacementLocation);
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->message.rfind("post-plan: ", 0), 0u);
+}
+
+/// check_plan as a belief state over the whole fleet: every component's
+/// footprint and location, every host's capacity and used memory, and a
+/// name-to-id map over all components. The reference the plan-scoped
+/// context must match.
+CheckReport fleet_context_check_plan(const DeploymentModel& m,
+                                     const ConstraintSet& cs,
+                                     const Deployment& current,
+                                     const std::vector<PlanTask>& plan) {
+  const std::size_t n = m.component_count();
+  const std::size_t k = m.host_count();
+  PlanContext ctx;
+  ctx.host_count = k;
+  for (HostId h = 0; h < k; ++h) {
+    ctx.host_names.push_back(m.host(h).name);
+    ctx.host_capacity_kb[h] = m.host(h).memory_capacity;
+  }
+  for (ComponentId c = 0; c < std::min(current.size(), n); ++c) {
+    const std::string& name = m.component(c).name;
+    ctx.component_memory_kb[name] = m.component(c).memory_size;
+    if (!current.is_assigned(c) || current.host_of(c) >= k) continue;
+    ctx.locations[name] = current.host_of(c);
+    ctx.host_used_memory_kb[current.host_of(c)] += m.component(c).memory_size;
+  }
+  CheckReport report;
+  std::vector<PlanTask> known;
+  for (const PlanTask& task : plan) {
+    if (ctx.component_memory_kb.count(task.component) == 0) {
+      report.add({Rule::kDanglingReference,
+                  Severity::kError,
+                  {"component " + task.component},
+                  "the plan names a component the model does not contain",
+                  "fix the component name or add it to the model"});
+      continue;
+    }
+    known.push_back(task);
+  }
+  report.append(MigrationPlanChecker().check(known, ctx));
+  Deployment post = current;
+  std::map<std::string, ComponentId> by_name;
+  for (ComponentId c = 0; c < n; ++c) by_name.emplace(m.component(c).name, c);
+  std::set<std::string> applied;
+  for (const PlanTask& task : known) {
+    if (task.to >= k || !applied.insert(task.component).second) continue;
+    const auto it = by_name.find(task.component);
+    if (it != by_name.end() && it->second < post.size())
+      post.assign(it->second, task.to);
+  }
+  report.append(PlacementAuditor().audit(m, cs, post), "post-plan: ");
+  return report;
+}
+
+TEST(PlanCheck, FreeFunctionMatchesFleetWideContextOnRandomPlans) {
+  // Random fleets with unplaced components, placements shorter than the
+  // component list, unmodelled capacities, and plans with unknown names,
+  // duplicates, stale sources, no-ops and out-of-range hosts.
+  std::mt19937 rng(3);
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  std::size_t custody_errors = 0;
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t k = 2 + pick(5);
+    const std::size_t n = 3 + pick(10);
+    DeploymentModel m = make_model(k, n);
+    for (HostId h = 0; h < k; ++h)
+      m.host(h).memory_capacity = pick(4) == 0 ? 0.0 : 10.0 * pick(6);
+    for (ComponentId c = 0; c < n; ++c)
+      m.component(c).memory_size = 1.0 + pick(15);
+    ConstraintSet cs;
+    if (pick(2) == 0) cs.allow_only(0, {0});
+    // Every third round places nothing the plan names (its components are
+    // unassigned) while other components are placed.
+    const bool plan_unplaced = round % 3 == 0;
+    std::vector<HostId> placement(n - pick(3));
+    for (HostId& h : placement)
+      h = pick(5) == 0 ? model::kNoHost : static_cast<HostId>(pick(k));
+    std::vector<PlanTask> plan;
+    for (std::size_t t = pick(7); t > 0; --t) {
+      const std::size_t c = pick(n + 2);  // n, n + 1 are unknown names
+      if (plan_unplaced && c < placement.size())
+        placement[c] = model::kNoHost;
+      const HostId believed = c < placement.size() ? placement[c] : 0;
+      const HostId from =
+          pick(3) == 0 ? static_cast<HostId>(pick(k)) : believed;
+      plan.push_back({"c" + std::to_string(c), from,
+                      static_cast<HostId>(pick(k + 1))});
+    }
+    if (plan_unplaced && !placement.empty()) placement.back() = 0;
+    const Deployment current(placement);
+    const CheckReport want = fleet_context_check_plan(m, cs, current, plan);
+    EXPECT_EQ(check_plan(m, cs, current, plan).to_json().dump(2),
+              want.to_json().dump(2))
+        << "round " << round;
+    custody_errors += want.count(Rule::kPlanCustody);
+  }
+  EXPECT_GT(custody_errors, 0u);
 }
 
 // --- preflight entry points ------------------------------------------------

@@ -155,6 +155,74 @@ TEST(CheckParamRange, LogicalLinkFindingsComeInCanonicalPairOrder) {
   EXPECT_EQ(got, expected);
 }
 
+TEST(CheckParamRange, PhysicalLinkFindingsComeInCanonicalPairOrder) {
+  // Invalid physical links inserted in scrambled order and orientation,
+  // some before later hosts exist (the link columns store pair (a, b) by its
+  // higher host first): the findings must follow canonical (a, b) order,
+  // exactly as an all-pairs scan over physical_link() reports them.
+  DeploymentModel m;
+  std::mt19937 rng(11);
+  const double nan = std::nan("");
+  const double bad[] = {-1.0, nan, 1.5,
+                        std::numeric_limits<double>::infinity()};
+  std::size_t k = 0;
+  for (int i = 0; i < 80; ++i) {
+    if (i % 4 == 0 && k < 24) {
+      m.add_host({.name = "h" + std::to_string(k++)});
+      if (k < 2) continue;
+    }
+    if (k < 2) continue;
+    const auto a = static_cast<HostId>(rng() % k);
+    const auto b = static_cast<HostId>(rng() % k);
+    if (a == b) continue;
+    model::PhysicalLink link{.reliability = 0.9, .bandwidth = 10.0,
+                             .delay_ms = 1.0};
+    switch (i % 5) {
+      case 0: link.reliability = bad[i % 4]; break;
+      case 1: link.bandwidth = bad[(i + 1) % 4]; break;
+      case 2: link.delay_ms = bad[i % 2]; break;
+      case 3: link = {.reliability = nan, .bandwidth = -2.0, .delay_ms = nan};
+        break;
+      default: break;  // valid: must stay silent
+    }
+    m.set_physical_link(b, a, link);
+  }
+  // Stored all-zero but for a bad delay: reads as absent, stays silent.
+  m.set_physical_link(1, 5, {.reliability = 0.0, .bandwidth = 0.0,
+                             .delay_ms = -1.0});
+
+  std::vector<std::string> expected;
+  for (HostId a = 0; a < k; ++a)
+    for (HostId b = a + 1; b < k; ++b) {
+      const model::PhysicalLink link = m.physical_link(a, b);
+      if (link.bandwidth <= 0.0 && link.reliability <= 0.0) continue;
+      const std::string subject =
+          "link " + m.host(a).name + "--" + m.host(b).name;
+      const auto bad_nonneg = [](double v) {
+        return !(v >= 0.0) || std::isinf(v);
+      };
+      if (!(link.reliability >= 0.0 && link.reliability <= 1.0))
+        expected.push_back(subject + ": reliability " +
+                           fmt(link.reliability) + " is outside [0, 1]");
+      if (bad_nonneg(link.bandwidth))
+        expected.push_back(subject + ": bandwidth " + fmt(link.bandwidth) +
+                           " is not a finite non-negative number");
+      if (bad_nonneg(link.delay_ms))
+        expected.push_back(subject + ": delay " + fmt(link.delay_ms) +
+                           " is not a finite non-negative number");
+    }
+  ASSERT_GE(expected.size(), 20u);
+
+  const CheckReport report = run_checks(m, ConstraintSet());
+  std::vector<std::string> got;
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.rule != Rule::kParamRange) continue;
+    ASSERT_EQ(d.subjects.size(), 1u);
+    got.push_back(d.subjects[0] + ": " + d.message);
+  }
+  EXPECT_EQ(got, expected);
+}
+
 TEST(CheckFmt, MatchesDefaultStreamFormatting) {
   const double inf = std::numeric_limits<double>::infinity();
   for (const double v :
@@ -415,7 +483,7 @@ TEST(CheckNetworkPartition, MatchesBruteForceOnRandomIslands) {
         const auto b = static_cast<HostId>(rng() % k);
         if (a != b)
           m.set_physical_link(
-              a, b, {.reliability = 0.9, .bandwidth = 10.0, .properties = {}});
+              a, b, {.reliability = 0.9, .bandwidth = 10.0});
       }
       for (std::size_t i = 0; i < 3 * n; ++i) {
         const auto a = static_cast<ComponentId>(rng() % n);

@@ -203,7 +203,7 @@ std::vector<model::ComponentId> fluctuate_one_host(Instance& inst) {
   const auto links = m.physical_link_table();
   for (std::size_t h = 0; h < m.host_count(); ++h) {
     if (h == host) continue;
-    const model::PhysicalLink& link =
+    const model::PhysicalLink link =
         links.at(host, static_cast<model::HostId>(h));
     if (link.reliability > 0.0)
       m.set_link_reliability(host, static_cast<model::HostId>(h),

@@ -140,9 +140,9 @@ TEST(Security, RequiredLevelAgainstLinkProperty) {
   LogicalLink link = f.m.logical_link(0, 1);
   link.properties.set("required_security", 2.0);
   f.m.set_logical_link(0, 1, std::move(link));
-  PhysicalLink phys = f.m.physical_link(0, 1);
-  phys.properties.set("security", 1.0);
-  f.m.set_physical_link(0, 1, std::move(phys));
+  PropertyMap level;
+  level.set("security", 1.0);
+  f.m.set_physical_link(0, 1, f.m.physical_link(0, 1), level);
 
   const SecurityObjective security;
   EXPECT_DOUBLE_EQ(security.evaluate(f.m, Deployment(std::vector<HostId>{0, 1})),
@@ -151,9 +151,8 @@ TEST(Security, RequiredLevelAgainstLinkProperty) {
   EXPECT_DOUBLE_EQ(security.evaluate(f.m, Deployment(std::vector<HostId>{1, 1})),
                    1.0);
   // Upgrading the link satisfies it remotely too.
-  PhysicalLink upgraded = f.m.physical_link(0, 1);
-  upgraded.properties.set("security", 3.0);
-  f.m.set_physical_link(0, 1, std::move(upgraded));
+  level.set("security", 3.0);
+  f.m.set_physical_link(0, 1, f.m.physical_link(0, 1), level);
   EXPECT_DOUBLE_EQ(security.evaluate(f.m, Deployment(std::vector<HostId>{0, 1})),
                    1.0);
 }

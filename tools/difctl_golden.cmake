@@ -13,7 +13,8 @@
 # is an expected outcome for these scenarios; only 1/2 are failures.
 #
 # @OUT@ stands for the report path; a command without it prints its report
-# to stdout. @FLEET@ stands for the generated fleet model.
+# to stdout. @FLEET@ stands for the generated fleet model, @SMALL@ for a
+# smaller generated model the k = 2 resilience proof covers in ctest time.
 
 cmake_policy(SET CMP0057 NEW)  # if(IN_LIST)
 
@@ -30,13 +31,24 @@ set(report_fuzz.json fuzz --seed 0 --rounds 5 --json @OUT@)
 # constraints.
 set(report_check_fleet.json check @FLEET@ --json)
 set(report_audit_fleet.json audit @FLEET@ --json)
-set(expected_reports 6)
+# The k = 2 minimum-vertex-cut proof on top of the k = 1 sweep and the
+# region analysis.
+set(report_audit_k2.json audit @SMALL@ --resilience-k 2 --json)
+set(expected_reports 7)
 
 set(fleet ${WORKDIR}/golden_fleet_system.json)
 execute_process(
   COMMAND ${DIFCTL} generate --hosts 300 --components 600 --seed 5
           --constraints 40 --regions 4
   RESULT_VARIABLE code OUTPUT_FILE ${fleet} ERROR_QUIET)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "difctl generate failed (exit ${code})")
+endif()
+set(small ${WORKDIR}/golden_small_system.json)
+execute_process(
+  COMMAND ${DIFCTL} generate --hosts 60 --components 120 --seed 5
+          --constraints 8 --regions 3
+  RESULT_VARIABLE code OUTPUT_FILE ${small} ERROR_QUIET)
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "difctl generate failed (exit ${code})")
 endif()
@@ -63,6 +75,7 @@ foreach(line IN LISTS lines)
     set(stdout ${out})
   endif()
   list(TRANSFORM args REPLACE "^@FLEET@$" "${fleet}")
+  list(TRANSFORM args REPLACE "^@SMALL@$" "${small}")
   execute_process(COMMAND ${DIFCTL} ${args}
                   RESULT_VARIABLE code OUTPUT_FILE ${stdout} ERROR_QUIET)
   if(NOT (code EQUAL 0 OR code EQUAL 3) OR NOT EXISTS ${out})
