@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + full test suite, lint (when clang-tidy is
-# installed), the full suite again under ASan+UBSan with internal invariant
-# asserts compiled in, a ThreadSanitizer pass over the concurrency-sensitive
-# binaries, and a `difctl generate | difctl check` round trip across seeds.
+# CI entry point: tier-1 build + full test suite, the benchmark's own
+# statistics self-tests, lint (when clang-tidy is installed), the full suite
+# again under ASan+UBSan with internal invariant asserts compiled in, a
+# ThreadSanitizer pass over the concurrency-sensitive binaries, and a
+# `difctl generate | difctl check` round trip across seeds.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -12,6 +13,13 @@ echo "== tier-1: build + ctest =="
 cmake -B "$ROOT/build" -S "$ROOT"
 cmake --build "$ROOT/build" -j "$JOBS"
 (cd "$ROOT/build" && ctest --output-on-failure -j "$JOBS")
+
+echo "== benchmark self-tests: perfbench statistics =="
+if command -v python3 >/dev/null 2>&1; then
+  python3 -B "$ROOT/perfbench/tests/test_stats.py"
+else
+  echo "python3 not installed; skipping perfbench self-tests"
+fi
 
 echo "== lint: clang-tidy =="
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -68,10 +68,12 @@ void WorkloadComponent::schedule_link(std::size_t index) {
   // The callback re-resolves the component by name: after a migration this
   // instance is destroyed, and the chain must die (the migrant restarts its
   // own chain with a newer epoch).
+  // Captured as a mutable std::string: a `const std::string` capture has a
+  // throwing move, which would push the closure out of sim::Task's inline
+  // buffer onto the heap.
   prism::Architecture* arch = architecture();
-  const std::string self = name();
   const std::uint64_t epoch = epoch_;
-  arch->scaffold().schedule(interval_ms, [arch, self, epoch, index] {
+  arch->scaffold().schedule(interval_ms, [arch, self = name(), epoch, index] {
     auto* component = dynamic_cast<WorkloadComponent*>(
         arch->find_component(self));
     if (!component || !component->running_ || component->epoch_ != epoch)

@@ -104,9 +104,10 @@ double Architecture::total_memory_kb() const {
   return total;
 }
 
-void Architecture::post_to(const std::string& component,
+void Architecture::post_to(std::string component,
                            std::shared_ptr<const Event> event) {
-  scaffold_.dispatch([this, component, event = std::move(event)] {
+  scaffold_.dispatch([this, component = std::move(component),
+                      event = std::move(event)] {
     if (Component* target = find_component(component)) {
       target->deliver(*event);
     } else if (undeliverable_) {

@@ -63,9 +63,10 @@ class Architecture final : public Brick {
   /// the meantime, the undeliverable handler (if any) gets the event — this
   /// is the hook AdminComponent uses to buffer events during migration.
   /// The event is shared and immutable, so a broadcast posts one copy to
-  /// all of its recipients.
-  void post_to(const std::string& component,
-               std::shared_ptr<const Event> event);
+  /// all of its recipients. The dispatch closure fits sim::Task's inline
+  /// buffer, so posting allocates nothing for a name that fits std::string's
+  /// small buffer.
+  void post_to(std::string component, std::shared_ptr<const Event> event);
 
   /// Handler for events whose destination vanished (migration buffering).
   using UndeliverableHandler = std::function<void(const Event&)>;

@@ -26,7 +26,9 @@ void Brick::notify_received(const Event& event) const {
 void Component::send(Event event) {
   if (event.from().empty()) event.set_from(name());
   notify_sent(event);
-  for (Connector* connector : connectors_) connector->route(event, this);
+  if (connectors_.empty()) return;
+  const auto shared = std::make_shared<const Event>(std::move(event));
+  for (Connector* connector : connectors_) connector->route(shared, this);
 }
 
 void Component::deliver(const Event& event) {
@@ -34,33 +36,30 @@ void Component::deliver(const Event& event) {
   handle(event);
 }
 
-void Connector::route(const Event& event, Component* sender) {
-  notify_received(event);
+void Connector::route(const std::shared_ptr<const Event>& event,
+                      Component* sender) {
+  notify_received(*event);
   deliver_locally(event, sender);
 }
 
-void Connector::deliver_locally(const Event& event, Component* sender) {
+void Connector::deliver_locally(const std::shared_ptr<const Event>& event,
+                                Component* sender) {
   if (!arch_) return;
   // Deliveries go through Architecture::post_to by *name*: the target is
   // re-resolved when the scaffold fires the dispatch, so a component that
   // migrates away between routing and delivery is handled by the
   // architecture's undeliverable hook instead of a dangling pointer.
-  if (!event.to().empty()) {
+  if (!event->to().empty()) {
     for (Component* component : components_) {
-      if (component != sender && component->name() == event.to()) {
-        arch_->post_to(component->name(), std::make_shared<const Event>(event));
+      if (component != sender && component->name() == event->to()) {
+        arch_->post_to(component->name(), event);
         return;
       }
     }
     return;  // destination not welded to this connector
   }
-  // A broadcast shares one immutable copy among all of its recipients.
-  std::shared_ptr<const Event> shared;
-  for (Component* component : components_) {
-    if (component == sender) continue;
-    if (!shared) shared = std::make_shared<const Event>(event);
-    arch_->post_to(component->name(), shared);
-  }
+  for (Component* component : components_)
+    if (component != sender) arch_->post_to(component->name(), event);
 }
 
 }  // namespace dif::prism

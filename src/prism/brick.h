@@ -35,14 +35,15 @@ class IMonitor {
   virtual void on_event_received(const Brick& brick, const Event& event) = 0;
 };
 
-/// Event dispatch strategy (Prism-MW's IScaffold).
+/// Event dispatch strategy (Prism-MW's IScaffold). Tasks are move-only
+/// sim::Tasks: a closure of up to 56 bytes is stored without allocating.
 class IScaffold {
  public:
   virtual ~IScaffold() = default;
   /// Enqueues `task` for execution (possibly immediately).
-  virtual void dispatch(std::function<void()> task) = 0;
+  virtual void dispatch(sim::Task task) = 0;
   /// Runs `task` after `delay_ms` (periodic monitors/admins rely on this).
-  virtual void schedule(double delay_ms, std::function<void()> task) = 0;
+  virtual void schedule(double delay_ms, sim::Task task) = 0;
   /// Current time in ms (simulated or real), for monitors' window math.
   [[nodiscard]] virtual double now_ms() const = 0;
 };
@@ -53,9 +54,8 @@ class IScaffold {
 /// AdminComponent reporting requires a SimScaffold).
 class InlineScaffold final : public IScaffold {
  public:
-  void dispatch(std::function<void()> task) override { task(); }
-  void schedule(double /*delay_ms*/, std::function<void()> /*task*/) override {
-  }
+  void dispatch(sim::Task task) override { task(); }
+  void schedule(double /*delay_ms*/, sim::Task /*task*/) override {}
   [[nodiscard]] double now_ms() const override { return 0.0; }
 };
 
@@ -66,10 +66,10 @@ class InlineScaffold final : public IScaffold {
 class SimScaffold final : public IScaffold {
  public:
   explicit SimScaffold(sim::Simulator& simulator) : sim_(simulator) {}
-  void dispatch(std::function<void()> task) override {
+  void dispatch(sim::Task task) override {
     sim_.schedule_after(0.0, std::move(task));
   }
-  void schedule(double delay_ms, std::function<void()> task) override {
+  void schedule(double delay_ms, sim::Task task) override {
     sim_.schedule_after(delay_ms, std::move(task));
   }
   [[nodiscard]] double now_ms() const override { return sim_.now(); }
@@ -126,7 +126,9 @@ class Component : public Brick {
   /// Approximate memory footprint (KB) reported to monitoring.
   [[nodiscard]] virtual double memory_kb() const { return 1.0; }
 
-  /// Emits `event` on every welded connector (stamps provenance).
+  /// Emits `event` on every welded connector (stamps provenance). The
+  /// stamped event is wrapped once in an immutable shared Event that every
+  /// local recipient and the remote encoder read; no connector copies it.
   void send(Event event);
 
   [[nodiscard]] Architecture* architecture() const noexcept { return arch_; }
@@ -154,7 +156,9 @@ class Connector : public Brick {
   /// Routes `event` coming from `sender` (nullptr for externally injected
   /// events): delivered to the destination component when it is welded
   /// here, otherwise broadcast to all welded components except the sender.
-  virtual void route(const Event& event, Component* sender);
+  /// Every recipient shares `event`.
+  virtual void route(const std::shared_ptr<const Event>& event,
+                     Component* sender);
 
   [[nodiscard]] Architecture* architecture() const noexcept { return arch_; }
   [[nodiscard]] const std::vector<Component*>& welded() const noexcept {
@@ -163,7 +167,8 @@ class Connector : public Brick {
 
  protected:
   /// Local-only delivery used by route() implementations.
-  void deliver_locally(const Event& event, Component* sender);
+  void deliver_locally(const std::shared_ptr<const Event>& event,
+                       Component* sender);
 
  private:
   friend class Architecture;

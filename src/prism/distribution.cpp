@@ -9,8 +9,6 @@
 namespace dif::prism {
 
 namespace {
-constexpr const char* kPingChannel = "prism.ping";
-constexpr const char* kPongChannel = "prism.pong";
 /// Marks events that already crossed the network once (no re-flooding).
 constexpr const char* kRemoteMark = "__remote";
 }  // namespace
@@ -120,9 +118,11 @@ void DistributionConnector::flush_queues() {
   }
 }
 
-void DistributionConnector::route(const Event& event, Component* sender) {
+void DistributionConnector::route(const std::shared_ptr<const Event>& shared,
+                                  Component* sender) {
+  const Event& event = *shared;
   notify_received(event);
-  deliver_locally(event, sender);
+  deliver_locally(shared, sender);
 
   const bool arrived_from_network = event.get_bool(kRemoteMark).value_or(false);
   if (arrived_from_network) return;  // never re-forward remote events
@@ -179,49 +179,39 @@ void DistributionConnector::route(const Event& event, Component* sender) {
 
 void DistributionConnector::resend(Event event) {
   event.set(kRemoteMark, false);
-  route(event, nullptr);
+  route(std::make_shared<const Event>(std::move(event)), nullptr);
 }
 
-void DistributionConnector::send_ping(model::HostId peer,
-                                      std::uint64_t ping_id) {
-  sim::NetMessage message;
-  message.from = host_;
-  message.to = peer;
-  message.channel = kPingChannel;
-  ByteWriter w;
-  w.u64(ping_id);
-  message.payload = w.take();
-  message.size_kb = 0.05;  // tiny probe
-  network_.send(std::move(message));
+void DistributionConnector::send_ping(model::HostId peer) {
+  network_.send({.from = host_,
+                 .to = peer,
+                 .channel = kPingChannel,
+                 .payload = {},
+                 .size_kb = 0.05});  // tiny probe
 }
 
 void DistributionConnector::on_net_message(sim::NetMessage& message) {
   if (message.channel == kPingChannel) {
-    // Reflect the probe back to the sender: the ping becomes the pong,
-    // payload (the ping id) and all.
+    // Reflect the probe back to the sender: the ping becomes the pong.
     message.to = message.from;
     message.from = host_;
     message.channel = kPongChannel;
-    message.size_kb = 0.05;
     network_.send(std::move(message));
     return;
   }
   if (message.channel == kPongChannel) {
-    if (pong_handler_) {
-      ByteReader r(message.payload);
-      pong_handler_(message.from, r.u64());
-    }
+    if (pong_handler_) pong_handler_(message.from);
     return;
   }
   if (message.channel != kEventChannel) return;
 
-  Event event = Event::deserialize(message.payload);
+  auto event = std::make_shared<const Event>(
+      Event::deserialize(message.payload));
   if (!architecture()) return;
-  if (!event.to().empty()) {
+  if (!event->to().empty()) {
     // post_to re-resolves at dispatch; a missing destination lands in the
     // architecture's undeliverable handler (admin buffering / re-routing).
-    const auto shared = std::make_shared<const Event>(std::move(event));
-    architecture()->post_to(shared->to(), shared);
+    architecture()->post_to(event->to(), event);
   } else {
     deliver_locally(event, nullptr);
   }

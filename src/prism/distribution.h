@@ -20,11 +20,14 @@
 
 namespace dif::prism {
 
-/// Channel label stamped on serialized Prism events riding the simulated
-/// network. Exposed so message-level interceptors (the chaos layer's
-/// protocol fuzzer) can recognize — and deserialize — event traffic without
-/// touching ping/pong or transfer framing.
-inline constexpr const char* kEventChannel = "prism.event";
+/// Channels of the messages a DistributionConnector puts on the simulated
+/// network: serialized Prism events, and the payload-free ping/pong probes
+/// of NetworkReliabilityMonitor. Exposed so message-level interceptors (the
+/// chaos layer's protocol fuzzer) can recognize — and deserialize — event
+/// traffic without touching the probes.
+inline constexpr sim::Channel kEventChannel = 1;
+inline constexpr sim::Channel kPingChannel = 2;
+inline constexpr sim::Channel kPongChannel = 3;
 
 class DistributionConnector final : public Connector {
  public:
@@ -72,7 +75,8 @@ class DistributionConnector final : public Connector {
   /// travel to their destination's host per the location table (via the
   /// mediator when that host is not a peer); broadcast events that
   /// originated locally flood to all peers.
-  void route(const Event& event, Component* sender) override;
+  void route(const std::shared_ptr<const Event>& event,
+             Component* sender) override;
 
   /// Re-injects an event that already crossed the network once (admin
   /// re-routing / buffer flushing): clears the remote mark so the event may
@@ -101,9 +105,10 @@ class DistributionConnector final : public Connector {
 
   // --- ping support (NetworkReliabilityMonitor) ----------------------------------
 
-  using PongHandler =
-      std::function<void(model::HostId peer, std::uint64_t ping_id)>;
-  void send_ping(model::HostId peer, std::uint64_t ping_id);
+  /// A probe carries no payload: its pong names only the peer that
+  /// reflected it.
+  using PongHandler = std::function<void(model::HostId peer)>;
+  void send_ping(model::HostId peer);
   void set_pong_handler(PongHandler handler) {
     pong_handler_ = std::move(handler);
   }

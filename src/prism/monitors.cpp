@@ -100,9 +100,7 @@ NetworkReliabilityMonitor::NetworkReliabilityMonitor(
     DistributionConnector& connector, sim::Simulator& simulator, Params params)
     : connector_(connector), sim_(simulator), params_(params) {
   connector_.set_pong_handler(
-      [this](model::HostId peer, std::uint64_t /*ping_id*/) {
-        ++sent_received_[peer].second;
-      });
+      [this](model::HostId peer) { ++sent_received_[peer].second; });
 }
 
 void NetworkReliabilityMonitor::start() {
@@ -122,7 +120,7 @@ void NetworkReliabilityMonitor::schedule_next() {
 void NetworkReliabilityMonitor::ping_round() {
   for (const model::HostId peer : connector_.peers()) {
     for (std::uint32_t i = 0; i < params_.pings_per_round; ++i) {
-      connector_.send_ping(peer, next_ping_id_++);
+      connector_.send_ping(peer);
       ++sent_received_[peer].first;
       if (obs_.metrics) obs_.metrics->counter("monitor.rel.pings").add(1);
     }

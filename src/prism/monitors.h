@@ -142,7 +142,6 @@ class NetworkReliabilityMonitor {
   sim::Simulator& sim_;
   Params params_;
   bool running_ = false;
-  std::uint64_t next_ping_id_ = 1;
   std::map<model::HostId, std::pair<std::uint64_t, std::uint64_t>>
       sent_received_;
   obs::Instruments obs_;

@@ -22,7 +22,7 @@ ThreadPoolScaffold::~ThreadPoolScaffold() {
   timer_thread_.join();
 }
 
-void ThreadPoolScaffold::dispatch(std::function<void()> task) {
+void ThreadPoolScaffold::dispatch(sim::Task task) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return;
@@ -31,8 +31,7 @@ void ThreadPoolScaffold::dispatch(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPoolScaffold::schedule(double delay_ms,
-                                  std::function<void()> task) {
+void ThreadPoolScaffold::schedule(double delay_ms, sim::Task task) {
   const auto due = std::chrono::steady_clock::now() +
                    std::chrono::microseconds(
                        static_cast<std::int64_t>(delay_ms * 1000.0));
@@ -66,7 +65,7 @@ void ThreadPoolScaffold::worker_loop() {
     work_available_.wait(lock,
                          [this] { return stopping_ || !queue_.empty(); });
     if (stopping_) return;
-    std::function<void()> task = std::move(queue_.front());
+    sim::Task task = std::move(queue_.front());
     queue_.pop();
     ++busy_;
     lock.unlock();

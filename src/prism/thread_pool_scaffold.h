@@ -33,8 +33,8 @@ class ThreadPoolScaffold final : public IScaffold {
   ThreadPoolScaffold(const ThreadPoolScaffold&) = delete;
   ThreadPoolScaffold& operator=(const ThreadPoolScaffold&) = delete;
 
-  void dispatch(std::function<void()> task) override;
-  void schedule(double delay_ms, std::function<void()> task) override;
+  void dispatch(sim::Task task) override;
+  void schedule(double delay_ms, sim::Task task) override;
   [[nodiscard]] double now_ms() const override;
 
   /// Blocks until the task queue is empty and all workers are idle (timers
@@ -46,7 +46,7 @@ class ThreadPoolScaffold final : public IScaffold {
  private:
   struct Timer {
     std::chrono::steady_clock::time_point due;
-    std::function<void()> task;
+    sim::Task task;
     bool operator<(const Timer& other) const { return due > other.due; }
   };
 
@@ -57,7 +57,7 @@ class ThreadPoolScaffold final : public IScaffold {
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
-  std::queue<std::function<void()>> queue_;
+  std::queue<sim::Task> queue_;
   std::priority_queue<Timer> timers_;
   std::condition_variable timer_changed_;
   std::size_t busy_ = 0;

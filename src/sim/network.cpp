@@ -141,14 +141,11 @@ obs::Histogram* SimNetwork::link_queue_histogram(std::size_t li,
 }
 
 void SimNetwork::deliver_after(double delay_ms, NetMessage msg) {
-  sim_.schedule_after(delay_ms, [this, slot = in_flight_.park(std::move(msg))] {
-    deliver(slot);
-  });
+  sim_.schedule_after(delay_ms,
+                      [this, m = std::move(msg)]() mutable { deliver(m); });
 }
 
-void SimNetwork::deliver(SlotPool<NetMessage>::Slot slot) {
-  // Taken out before the receiver runs: sends it makes may reuse the slot.
-  NetMessage m = in_flight_.take(slot);
+void SimNetwork::deliver(NetMessage& m) {
   // A host that crashed while the message was in flight receives nothing.
   if (!host_up_[m.to]) {
     ++stats_.dropped;
@@ -199,9 +196,9 @@ bool SimNetwork::send(NetMessage msg) {
       // the original, deliver a copy later" is exactly a reorder.
       for (int copy = 1; copy <= fuzz->duplicates; ++copy) {
         sim_.schedule_after(fuzz->duplicate_gap_ms * copy,
-                            [this, slot = in_flight_.park(msg)] {
+                            [this, m = msg]() mutable {
                               fuzz_replay_ = true;
-                              send(in_flight_.take(slot));
+                              send(std::move(m));
                               fuzz_replay_ = false;
                             });
         if (metric_.fuzz_duplicated) metric_.fuzz_duplicated->add(1);

@@ -11,14 +11,12 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "model/deployment_model.h"
 #include "model/ids.h"
 #include "obs/instruments.h"
 #include "sim/simulator.h"
-#include "sim/slot_pool.h"
 #include "util/rng.h"
 
 namespace dif::sim {
@@ -31,12 +29,16 @@ struct LinkState {
   bool severed = false;       // hard partition overrides everything
 };
 
-/// A message in flight between two hosts.
+/// Demultiplexing id of a message's traffic class. The network never reads
+/// it; each receiver names its own channels (prism/distribution.h).
+using Channel = std::uint32_t;
+
+/// A message in flight between two hosts. 48 bytes, so a delivery task that
+/// owns it (plus the network pointer) fits sim::Task's inline buffer.
 struct NetMessage {
   model::HostId from = 0;
   model::HostId to = 0;
-  /// Demultiplexing label ("app", "monitor", "deploy", ...).
-  std::string channel;
+  Channel channel = 0;
   /// Opaque payload (serialized Prism-MW events, component state, ...).
   std::vector<std::uint8_t> payload;
   /// Size used for bandwidth accounting (KB); may exceed payload.size()
@@ -130,11 +132,10 @@ class SimNetwork {
   /// surviving ones arrive after delay + serialized transfer time. Returns
   /// false when the message was immediately unroutable.
   ///
-  /// A surviving message is moved into network-owned in-flight storage and
-  /// its delivery event captures only (network, slot), so the send path
-  /// copies no payload and allocates no closure. The slot is released when
-  /// the delivery fires; a Simulator::clear() that drops pending deliveries
-  /// leaves their slots parked until the network is destroyed.
+  /// A surviving message is moved into its delivery task, which fits
+  /// sim::Task's inline buffer, so the send path copies no payload and
+  /// allocates nothing. The message and its payload are destroyed when the
+  /// delivery fires, or at once when Simulator::clear() drops it.
   bool send(NetMessage msg);
 
   [[nodiscard]] const MessageStats& stats() const noexcept { return stats_; }
@@ -184,9 +185,9 @@ class SimNetwork {
   };
 
   [[nodiscard]] std::size_t index(model::HostId a, model::HostId b) const;
-  /// Parks `msg` in in-flight storage and schedules its delivery.
+  /// Schedules a delivery task that owns `msg`.
   void deliver_after(double delay_ms, NetMessage msg);
-  void deliver(SlotPool<NetMessage>::Slot slot);
+  void deliver(NetMessage& m);
   /// The (lazily created) per-link queue-delay histogram, or null when
   /// metrics are off. Lazy because only links that actually carry traffic
   /// should appear in the registry (k^2 histograms would swamp it).
@@ -208,9 +209,8 @@ class SimNetwork {
   std::vector<obs::Histogram*> link_queue_ms_;  // lazy per-link handles
   FuzzHook fuzz_hook_;
   bool fuzz_replay_ = false;  // true while re-sending an injected duplicate
-  /// In-flight messages (deliveries and pending fuzz duplicates), indexed by
-  /// the slot their simulator event captures.
-  SlotPool<NetMessage> in_flight_;
 };
+
+static_assert(sizeof(NetMessage) == 48);
 
 }  // namespace dif::sim

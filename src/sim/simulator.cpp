@@ -5,12 +5,12 @@
 
 namespace dif::sim {
 
-void Simulator::schedule_at(TimePoint t, std::function<void()> fn) {
+void Simulator::schedule_at(TimePoint t, Task fn) {
   heap_.push_back({std::max(t, now_), next_seq_++, fns_.park(std::move(fn))});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void Simulator::schedule_after(double delay_ms, std::function<void()> fn) {
+void Simulator::schedule_after(double delay_ms, Task fn) {
   schedule_at(now_ + std::max(delay_ms, 0.0), std::move(fn));
 }
 
@@ -34,8 +34,9 @@ std::size_t Simulator::fire_batch(std::size_t limit) {
   std::size_t fired = 0;
   while (batch_pos_ < batch_.size()) {
     // Taken out of its slot before it runs, so the handler may reuse the
-    // slot, and clear() never sees a running event.
-    const std::function<void()> fn = fns_.take(batch_[batch_pos_]);
+    // slot, and clear() never sees a running event. The task (and what it
+    // captured) is destroyed at the end of this iteration.
+    Task fn = fns_.take(batch_[batch_pos_]);
     ++batch_pos_;
     ++processed_;
     ++fired;

@@ -15,18 +15,19 @@
 // every drained event.
 //
 // The heap orders trivially copyable (time, seq, slot) records; the
-// callables live in slot storage that is reused through a free list. A sift
-// therefore moves 24-byte records instead of std::function objects, and a
-// steady-state schedule/fire cycle allocates nothing beyond what the
-// callable itself needs (none for captures that fit std::function's small
-// buffer, e.g. a pointer plus an index).
+// callables are sim::Tasks that live in slot storage reused through a free
+// list. A sift therefore moves 24-byte records instead of callables, and a
+// steady-state schedule/fire cycle allocates nothing for a closure that
+// fits Task's 56-byte inline buffer (see sim/task.h for what falls back to
+// the heap). A Task is destroyed, with everything it captured, right after
+// it fires, or at once when clear() drops it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/slot_pool.h"
+#include "sim/task.h"
 
 namespace dif::sim {
 
@@ -43,10 +44,10 @@ class Simulator {
 
   /// Schedules `fn` at absolute time `t` (>= now; earlier times are clamped
   /// to now — an event cannot fire in the past).
-  void schedule_at(TimePoint t, std::function<void()> fn);
+  void schedule_at(TimePoint t, Task fn);
 
   /// Schedules `fn` `delay_ms` after the current time (negative clamps to 0).
-  void schedule_after(double delay_ms, std::function<void()> fn);
+  void schedule_after(double delay_ms, Task fn);
 
   /// Runs events until the queue drains or `max_events` fire.
   /// Returns the number of events processed.
@@ -76,7 +77,7 @@ class Simulator {
   void clear();
 
  private:
-  using Callables = SlotPool<std::function<void()>>;
+  using Callables = SlotPool<Task>;
   struct Scheduled {
     TimePoint time;
     std::uint64_t seq;

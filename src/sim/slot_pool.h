@@ -1,8 +1,7 @@
 // Index-addressed storage with slot reuse, for values whose owner hands out
-// a small integer in place of the value itself: the simulator's pending
-// callables and the network's in-flight messages. An event that captures
-// (owner, slot) fits std::function's small buffer, so parking a value and
-// scheduling its event allocates nothing once the pool is warm.
+// a small integer in place of the value itself: the simulator parks each
+// pending Task here and orders only (time, seq, slot) records in its heap,
+// so parking a task allocates nothing once the pool is warm.
 #pragma once
 
 #include <cstdint>

@@ -473,6 +473,95 @@ TEST(Resilience, TwoDisjointPathsNeedATwoHostCut) {
   EXPECT_TRUE(found_cut);
 }
 
+/// Can a message travel from host `a` to host `b` over links with
+/// bandwidth when the hosts in `down` have failed? Reads the links pairwise,
+/// independently of the prover's adjacency lists.
+bool connected_without(const DeploymentModel& m, HostId a, HostId b,
+                       const std::set<HostId>& down) {
+  std::vector<bool> seen(m.host_count(), false);
+  std::vector<HostId> stack{a};
+  seen[a] = true;
+  while (!stack.empty()) {
+    const HostId h = stack.back();
+    stack.pop_back();
+    if (h == b) return true;
+    for (HostId next = 0; next < m.host_count(); ++next) {
+      if (seen[next] || down.count(next) || next == h) continue;
+      if (m.physical_link(h, next).bandwidth <= 0.0) continue;
+      seen[next] = true;
+      stack.push_back(next);
+    }
+  }
+  return false;
+}
+
+TEST(Resilience, SparseGeneratedModelsReportBruteForceMinimumCuts) {
+  // Generated models at link density 0.15 are sparse enough for 2-host
+  // cuts to exist. Every cut the k = 2 proof reports must separate the
+  // hosts of each interaction it names, and no smaller host set may.
+  int seeds_with_cut = 0;
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    desi::GeneratorSpec spec;
+    spec.hosts = 12 + seed % 9;
+    spec.components = 2 * spec.hosts;
+    spec.link_density = 0.15;
+    const auto system = desi::Generator::generate(spec, seed);
+    const DeploymentModel& m = system->model();
+    const Deployment& d = system->deployment();
+    std::map<std::string, HostId> host_id;
+    for (HostId h = 0; h < m.host_count(); ++h) host_id[m.host(h).name] = h;
+    std::map<std::string, ComponentId> component_id;
+    for (ComponentId c = 0; c < m.component_count(); ++c)
+      component_id[m.component(c).name] = c;
+
+    ResilienceOptions options;
+    options.max_failures = 2;
+    options.regions = false;
+    options.max_diagnostics = 1000;
+    const CheckReport report = ResilienceProver(options).prove(m, d);
+    bool found_cut = false;
+    for (const Diagnostic& diag : report.diagnostics()) {
+      if (diag.witness.size() < 2) continue;  // the k = 1 sweep's findings
+      found_cut = true;
+      const std::string label =
+          "seed " + std::to_string(seed) + ": " + diag.message;
+      std::set<HostId> cut;
+      for (const std::string& name : diag.witness) cut.insert(host_id.at(name));
+      ASSERT_EQ(cut.size(), diag.witness.size()) << label;
+      // The named interactions: "... interaction(s): c1--c4, c2--c7[, +N
+      // more]".
+      const std::string list =
+          diag.message.substr(diag.message.find("interaction(s): ") + 16);
+      std::size_t named = 0;
+      for (std::size_t at = 0; at < list.size();) {
+        const std::size_t end = std::min(list.find(", ", at), list.size());
+        const std::string pair = list.substr(at, end - at);
+        at = end + 2;
+        if (pair.rfind("+", 0) == 0) continue;  // "+N more"
+        const std::size_t dash = pair.find("--");
+        ASSERT_NE(dash, std::string::npos) << label;
+        const HostId a = d.host_of(component_id.at(pair.substr(0, dash)));
+        const HostId b = d.host_of(component_id.at(pair.substr(dash + 2)));
+        ++named;
+        EXPECT_FALSE(cut.count(a) || cut.count(b)) << label;
+        EXPECT_FALSE(connected_without(m, a, b, cut)) << label;
+        // Minimality: the hosts are connected, and (cuts here have two
+        // members) no single other host separates them.
+        EXPECT_TRUE(connected_without(m, a, b, {})) << label;
+        ASSERT_EQ(cut.size(), 2u) << label;
+        for (HostId h = 0; h < m.host_count(); ++h) {
+          if (h == a || h == b) continue;
+          EXPECT_TRUE(connected_without(m, a, b, {h}))
+              << label << " (host " << m.host(h).name << ")";
+        }
+      }
+      EXPECT_GT(named, 0u) << label;
+    }
+    seeds_with_cut += found_cut;
+  }
+  EXPECT_GE(seeds_with_cut, 9);
+}
+
 // --- resilience-region -----------------------------------------------------
 
 TEST(Resilience, RegionLossNamesItsHostsAsWitness) {

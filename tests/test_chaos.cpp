@@ -134,9 +134,9 @@ TEST(Network, PerLinkDropSharesMatchTotal) {
   net.set_link(1, 2, {.reliability = 0.9, .bandwidth = 1000.0,
                       .delay_ms = 1.0});
   for (int i = 0; i < 400; ++i) {
-    net.send({.from = 0, .to = 1, .channel = "t", .payload = {},
+    net.send({.from = 0, .to = 1, .channel = 1, .payload = {},
               .size_kb = 0.1});
-    net.send({.from = 1, .to = 2, .channel = "t", .payload = {},
+    net.send({.from = 1, .to = 2, .channel = 1, .payload = {},
               .size_kb = 0.1});
   }
   sim.run_until(10'000.0);

@@ -16,6 +16,11 @@
 namespace dif::chaos {
 namespace {
 
+// Channels of the raw messages the fuzz-hook tests send.
+constexpr sim::Channel kTest = 1;
+constexpr sim::Channel kFirst = 2;
+constexpr sim::Channel kSecond = 3;
+
 // --- raw SimNetwork fuzz-hook semantics ------------------------------------
 
 struct NetFixture {
@@ -34,7 +39,7 @@ struct NetFixture {
       });
   }
 
-  sim::NetMessage msg(const std::string& tag) {
+  sim::NetMessage msg(sim::Channel tag) {
     sim::NetMessage m;
     m.from = 0;
     m.to = 1;
@@ -51,7 +56,7 @@ TEST(FuzzHook, DropSuppressesDeliveryAndIsCharged) {
     d.drop = true;
     return d;
   });
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(f.net.send(f.msg("test")));
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(f.net.send(f.msg(kTest)));
   f.sim.run();
   EXPECT_TRUE(f.received.empty());
   EXPECT_EQ(f.net.stats().sent, 10u);
@@ -73,7 +78,7 @@ TEST(FuzzHook, DuplicateDeliversExtraCopies) {
         d.duplicate_gap_ms = 50.0;
         return d;
       });
-  EXPECT_TRUE(f.net.send(f.msg("test")));
+  EXPECT_TRUE(f.net.send(f.msg(kTest)));
   f.sim.run();
   // Original + 2 copies, each a full send of its own.
   EXPECT_EQ(f.received.size(), 3u);
@@ -95,12 +100,12 @@ TEST(FuzzHook, ReorderOvertakesInterveningTraffic) {
         d.duplicate_gap_ms = 100.0;
         return d;
       });
-  EXPECT_TRUE(f.net.send(f.msg("first")));
-  EXPECT_TRUE(f.net.send(f.msg("second")));
+  EXPECT_TRUE(f.net.send(f.msg(kFirst)));
+  EXPECT_TRUE(f.net.send(f.msg(kSecond)));
   f.sim.run();
   ASSERT_EQ(f.received.size(), 2u);
-  EXPECT_EQ(f.received[0].channel, "second");
-  EXPECT_EQ(f.received[1].channel, "first");
+  EXPECT_EQ(f.received[0].channel, kSecond);
+  EXPECT_EQ(f.received[1].channel, kFirst);
   EXPECT_LT(f.arrival_ms[0], f.arrival_ms[1]);
 }
 
@@ -111,7 +116,7 @@ TEST(FuzzHook, DelayPostponesDelivery) {
     d.delay_ms = 500.0;
     return d;
   });
-  EXPECT_TRUE(f.net.send(f.msg("test")));
+  EXPECT_TRUE(f.net.send(f.msg(kTest)));
   f.sim.run();
   ASSERT_EQ(f.arrival_ms.size(), 1u);
   EXPECT_GE(f.arrival_ms[0], 505.0);  // fuzz delay + link delay
@@ -137,7 +142,7 @@ FuzzPolicy always_fire() {
 TEST(ProtocolFuzzer, IgnoresNonEventChannelsAndUntargetedEvents) {
   ProtocolFuzzer fuzzer(always_fire(), /*seed=*/5);
   sim::NetMessage raw;
-  raw.channel = "monitor";
+  raw.channel = prism::kPingChannel;
   EXPECT_FALSE(fuzzer.decide(raw).has_value());
   EXPECT_FALSE(fuzzer.decide(protocol_msg("app_event")).has_value());
   EXPECT_EQ(fuzzer.targeted(), 0u);

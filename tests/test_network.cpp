@@ -3,8 +3,34 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
+// The global operator new of this binary remembers the one live heap block
+// of kMarkedBytes, so a test can watch a payload of that size die.
+namespace {
+constexpr std::size_t kMarkedBytes = 4099;
+void* g_marked = nullptr;
+
+void release(void* p) noexcept {
+  if (p == g_marked) g_marked = nullptr;
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = std::malloc(size ? size : 1);
+  if (!p) throw std::bad_alloc();
+  if (size == kMarkedBytes) g_marked = p;
+  return p;
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+
 namespace dif::sim {
 namespace {
+
+constexpr Channel kTestChannel = 7;
 
 struct Fixture {
   Simulator sim;
@@ -21,7 +47,7 @@ struct Fixture {
     NetMessage m;
     m.from = from;
     m.to = to;
-    m.channel = "test";
+    m.channel = kTestChannel;
     m.size_kb = kb;
     return m;
   }
@@ -119,15 +145,15 @@ TEST(SimNetwork, ReusedInFlightStorageNeverLeaksEarlierMessages) {
   Fixture f;
   f.net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 100.0,
                         .delay_ms = 5.0});
-  // A long (heap-allocated) channel and a payload first, then messages
-  // that carry less: each delivery must see exactly its own fields.
+  // A payload and another channel first, then messages that carry less:
+  // each delivery must see exactly its own fields.
   NetMessage big = f.msg(0, 1, 2.0);
-  big.channel = "a-channel-name-well-past-small-string-size";
+  big.channel = 0xfffffff0;
   big.payload.assign(300, 0xab);
   EXPECT_TRUE(f.net.send(std::move(big)));
   f.sim.run();
   NetMessage bare = f.msg(1, 0, 0.5);
-  bare.channel = "b";
+  bare.channel = 2;
   EXPECT_TRUE(f.net.send(std::move(bare)));
   NetMessage local = f.msg(1, 1, 0.0);
   local.payload = {1, 2};
@@ -138,14 +164,57 @@ TEST(SimNetwork, ReusedInFlightStorageNeverLeaksEarlierMessages) {
   // Local deliveries ride the next tick; the remote one its link delay.
   EXPECT_EQ(f.received[1].from, 1u);
   EXPECT_EQ(f.received[1].to, 1u);
-  EXPECT_EQ(f.received[1].channel, "test");
+  EXPECT_EQ(f.received[1].channel, kTestChannel);
   EXPECT_EQ(f.received[1].payload, (std::vector<std::uint8_t>{1, 2}));
   EXPECT_DOUBLE_EQ(f.received[1].size_kb, 0.0);
   EXPECT_EQ(f.received[2].from, 1u);
   EXPECT_EQ(f.received[2].to, 0u);
-  EXPECT_EQ(f.received[2].channel, "b");
+  EXPECT_EQ(f.received[2].channel, 2u);
   EXPECT_TRUE(f.received[2].payload.empty());
   EXPECT_DOUBLE_EQ(f.received[2].size_kb, 0.5);
+}
+
+// --- delivery task lifetime ---------------------------------------------------
+
+/// A 0 -> 1 message whose payload is the marked heap block.
+NetMessage marked_message() {
+  NetMessage m;
+  m.from = 0;
+  m.to = 1;
+  m.payload.assign(kMarkedBytes, 0x5a);
+  return m;
+}
+
+TEST(SimNetwork, DeliveryTaskDestroysItsMessageWhenItFires) {
+  Simulator sim;
+  SimNetwork net(sim, 2, 1);
+  net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 100.0,
+                      .delay_ms = 5.0});
+  bool alive_at_receipt = false;
+  net.set_receiver(1, [&](NetMessage& m) {
+    alive_at_receipt = g_marked == m.payload.data();
+  });
+  EXPECT_TRUE(net.send(marked_message()));
+  EXPECT_NE(g_marked, nullptr);  // owned by the pending delivery task
+  sim.run();
+  EXPECT_TRUE(alive_at_receipt);
+  EXPECT_EQ(g_marked, nullptr);
+  EXPECT_EQ(net.stats().delivered, 1u);
+}
+
+TEST(SimNetwork, ClearDestroysInFlightMessagesAtOnce) {
+  Simulator sim;
+  SimNetwork net(sim, 2, 1);
+  net.set_link(0, 1, {.reliability = 1.0, .bandwidth = 100.0,
+                      .delay_ms = 5.0});
+  int delivered = 0;
+  net.set_receiver(1, [&](NetMessage&) { ++delivered; });
+  EXPECT_TRUE(net.send(marked_message()));
+  EXPECT_NE(g_marked, nullptr);
+  sim.clear();
+  EXPECT_EQ(g_marked, nullptr);
+  sim.run();
+  EXPECT_EQ(delivered, 0);
 }
 
 TEST(SimNetwork, LinksAreSymmetric) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -240,6 +242,57 @@ TEST(Simulator, ClearInsideHandlerReleasesTheRestButNotItself) {
   EXPECT_EQ(seen_after_clear, 7);
   EXPECT_TRUE(watch_own.expired());
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, HeapHeldCapturesAreReleasedOnFireAndOnClear) {
+  // Captures past Task's inline buffer live in one heap block, which must
+  // follow the same lifetime as inline ones.
+  Simulator sim;
+  std::array<char, Task::kInlineBytes> bulk{};
+  auto fired = std::make_shared<int>(1);
+  auto dropped = std::make_shared<int>(2);
+  const std::weak_ptr<int> watch_fired = fired;
+  const std::weak_ptr<int> watch_dropped = dropped;
+  auto fire = [bulk, fired = std::move(fired)] { (void)bulk; };
+  static_assert(!Task::stored_inline<decltype(fire)>);
+  sim.schedule_at(1.0, std::move(fire));
+  sim.run();
+  EXPECT_TRUE(watch_fired.expired());
+  sim.schedule_at(2.0, [bulk, dropped = std::move(dropped)] { (void)bulk; });
+  sim.clear();
+  EXPECT_TRUE(watch_dropped.expired());
+}
+
+// --- task captures -----------------------------------------------------------
+
+TEST(Simulator, MoveOnlyCapturesWork) {
+  Simulator sim;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  sim.schedule_at(1.0, [&seen, value = std::move(value)] { seen += *value; });
+  // A move-only closure too big for the inline buffer.
+  std::array<char, Task::kInlineBytes> bulk{};
+  bulk[0] = 1;
+  auto other = std::make_unique<int>(7);
+  sim.schedule_at(2.0, [&seen, bulk, other = std::move(other)] {
+    seen += *other + bulk[0];
+  });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(seen, 50);
+}
+
+TEST(Simulator, ConstStringCaptureFiresCorrectly) {
+  Simulator sim;
+  const std::string name = "a-component-name-past-the-small-string-buffer";
+  std::string seen;
+  // The closure's member is a `const std::string`, whose move may throw, so
+  // the task keeps the closure on the heap; it must still run unchanged.
+  auto fn = [&seen, name] { seen = name; };
+  static_assert(!Task::stored_inline<decltype(fn)>);
+  sim.schedule_at(1.0, std::move(fn));
+  sim.schedule_at(1.0, [&seen, name] { seen += "|" + name; });
+  sim.run();
+  EXPECT_EQ(seen, name + "|" + name);
 }
 
 TEST(Simulator, EventsAfterClearReuseStorageInTimeSeqOrder) {

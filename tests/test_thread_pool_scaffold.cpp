@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <set>
 
 namespace dif::prism {
@@ -85,6 +86,27 @@ TEST(ThreadPoolScaffold, TasksMayDispatchMoreTasks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   pool.drain();
   EXPECT_EQ(depth.load(), 50);
+}
+
+TEST(ThreadPoolScaffold, RunsMoveOnlyTasks) {
+  // Tasks own what they capture: a unique_ptr moves through the queue and
+  // the timer heap to the worker that runs it.
+  ThreadPoolScaffold pool(3);
+  std::atomic<int> sum{0};
+  for (int i = 1; i <= 100; ++i)
+    pool.dispatch(
+        [&sum, value = std::make_unique<int>(i)] { sum += *value; });
+  std::atomic<int> timed{0};
+  for (int i = 1; i <= 4; ++i)
+    pool.schedule(1.0 * i,
+                  [&timed, value = std::make_unique<int>(i)] {
+                    timed += *value;
+                  });
+  for (int i = 0; i < 300 && timed < 10; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  pool.drain();
+  EXPECT_EQ(sum.load(), 5050);
+  EXPECT_EQ(timed.load(), 10);
 }
 
 TEST(ThreadPoolScaffold, CleanShutdownWithPendingTimers) {
